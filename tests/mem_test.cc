@@ -14,9 +14,11 @@
 
 #include "cli/cli.h"
 #include "core/adaptive_cache.h"
+#include "core/async_cache.h"
 #include "core/concert.h"
 #include "core/experiment.h"
 #include "core/interval_cache.h"
+#include "core/latency_adaptive.h"
 #include "core/machine.h"
 #include "core/multiprogram.h"
 #include "core/profile_guided.h"
@@ -609,6 +611,574 @@ TEST(MemServe, JobParsesMemAndRejectsSampledDram)
     EXPECT_FALSE(parseJob(R"({"kind": "cache-sweep", "apps": "li",
                               "mem": "sdram"})",
                           bad_spec, error));
+}
+
+// ---------------------------------------------------------------------
+// Golden bits: every cache-side model's exact output under the default
+// dram backend and under flat, pinned as IEEE bit patterns
+// (json::doubleBits).  The miss clock and trace walk these models
+// share must reproduce them bit for bit.  On a deliberate model change
+// the failure message prints the new table to paste back.
+// ---------------------------------------------------------------------
+
+constexpr uint64_t kGoldenRefs = 20000;
+
+/** Named values rendered exactly: doubles as bit patterns. */
+class Golden
+{
+  public:
+    void
+    add(const std::string &name, double value)
+    {
+        lines_.push_back(name + "=" + json::doubleBits(value));
+    }
+
+    void
+    add(const std::string &name, uint64_t value)
+    {
+        lines_.push_back(name + "=" + std::to_string(value));
+    }
+
+    void
+    add(const std::string &name, const std::string &value)
+    {
+        lines_.push_back(name + "=" + value);
+    }
+
+    /** FNV-1a over the bit patterns of @p values (for long tables). */
+    void
+    digest(const std::string &name, const std::vector<double> &values)
+    {
+        uint64_t h = 1469598103934665603ull;
+        for (double v : values) {
+            for (char c : json::doubleBits(v) + ",") {
+                h ^= static_cast<unsigned char>(c);
+                h *= 1099511628211ull;
+            }
+        }
+        add(name, h);
+    }
+
+    void
+    expect(const std::vector<std::string> &want) const
+    {
+        std::ostringstream table;
+        for (const std::string &line : lines_)
+            table << "        \"" << line << "\",\n";
+        EXPECT_EQ(lines_, want) << "recorded table:\n" << table.str();
+    }
+
+  private:
+    std::vector<std::string> lines_;
+};
+
+std::string
+joinInts(const std::vector<int> &values)
+{
+    std::string out;
+    for (int v : values)
+        out += (out.empty() ? "" : ",") + std::to_string(v);
+    return out;
+}
+
+/** The two backends every golden case runs under. */
+const std::vector<std::pair<std::string, mem::MemConfig>> &
+goldenBackends()
+{
+    static const std::vector<std::pair<std::string, mem::MemConfig>>
+        backends = {{"flat", mem::MemConfig{}},
+                    {"dram", parseOrDie("dram")}};
+    return backends;
+}
+
+TEST(MemGolden, AdaptiveEvaluate)
+{
+    const trace::AppProfile &app = trace::findApp("compress");
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        for (int k : {2, 6}) {
+            core::CachePerf perf = model.evaluate(app, k, kGoldenRefs);
+            std::string tag = name + "." + std::to_string(k);
+            golden.add(tag + ".instructions", perf.instructions);
+            golden.add(tag + ".l1_miss_ratio", perf.l1_miss_ratio);
+            golden.add(tag + ".global_miss_ratio", perf.global_miss_ratio);
+            golden.add(tag + ".tpi_ns", perf.tpi_ns);
+            golden.add(tag + ".tpi_miss_ns", perf.tpi_miss_ns);
+        }
+    }
+    golden.expect({
+        "flat.2.instructions=222222",
+        "flat.2.l1_miss_ratio=4588879789914383712",
+        "flat.2.global_miss_ratio=4584758095535414234",
+        "flat.2.tpi_ns=4600587553012133550",
+        "flat.2.tpi_miss_ns=4593471723122640798",
+        "flat.6.instructions=222222",
+        "flat.6.l1_miss_ratio=4584758095535414234",
+        "flat.6.global_miss_ratio=4584758095535414234",
+        "flat.6.tpi_ns=4601300961645333154",
+        "flat.6.tpi_miss_ns=4590973752218043896",
+        "dram.2.instructions=222222",
+        "dram.2.l1_miss_ratio=4588879789914383712",
+        "dram.2.global_miss_ratio=4584758095535414234",
+        "dram.2.tpi_ns=4600137793249586401",
+        "dram.2.tpi_miss_ns=4591672684072452201",
+        "dram.6.instructions=222222",
+        "dram.6.l1_miss_ratio=4584758095535414234",
+        "dram.6.global_miss_ratio=4584758095535414234",
+        "dram.6.tpi_ns=4600827732345363152",
+        "dram.6.tpi_miss_ns=4588993649745792348",
+    });
+}
+
+TEST(MemGolden, AdaptiveEvaluateObservedFoldsCounters)
+{
+    const trace::AppProfile &app = trace::findApp("compress");
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        obs::DecisionTrace trace;
+        obs::CounterRegistry registry;
+        core::CachePerf perf =
+            model.evaluateObserved(app, 3, kGoldenRefs, &trace, &registry);
+        golden.add(name + ".tpi_ns", perf.tpi_ns);
+        golden.add(name + ".tpi_miss_ns", perf.tpi_miss_ns);
+        ASSERT_EQ(trace.size(), 1u);
+        golden.add(name + ".cell.duration_ns",
+                   trace.events()[0].duration_ns);
+        for (const char *counter :
+             {"cache.refs", "cache.l1_hits", "cache.l2_hits",
+              "cache.misses", "cache.writebacks", "cache.swaps",
+              "dram.accesses", "dram.row_hits", "dram.row_misses",
+              "dram.row_conflicts", "dram.service_ns", "dram.queue_ns",
+              "mshr.allocs", "mshr.merges", "mshr.full_stalls",
+              "mshr.stall_ns"})
+            golden.add(name + "." + counter,
+                       registry.counterValue(counter));
+    }
+    golden.expect({
+        "flat.tpi_ns=4600306915188869317",
+        "flat.tpi_miss_ns=4591011270470235034",
+        "flat.cell.duration_ns=4680361217080600590",
+        "flat.cache.refs=20000",
+        "flat.cache.l1_hits=19362",
+        "flat.cache.l2_hits=0",
+        "flat.cache.misses=638",
+        "flat.cache.writebacks=0",
+        "flat.cache.swaps=0",
+        "flat.dram.accesses=0",
+        "flat.dram.row_hits=0",
+        "flat.dram.row_misses=0",
+        "flat.dram.row_conflicts=0",
+        "flat.dram.service_ns=0",
+        "flat.dram.queue_ns=0",
+        "flat.mshr.allocs=0",
+        "flat.mshr.merges=0",
+        "flat.mshr.full_stalls=0",
+        "flat.mshr.stall_ns=0",
+        "dram.tpi_ns=4599824306325851530",
+        "dram.tpi_miss_ns=4588993649745792348",
+        "dram.cell.duration_ns=4679952104887464227",
+        "dram.cache.refs=20000",
+        "dram.cache.l1_hits=19362",
+        "dram.cache.l2_hits=0",
+        "dram.cache.misses=638",
+        "dram.cache.writebacks=0",
+        "dram.cache.swaps=0",
+        "dram.dram.accesses=638",
+        "dram.dram.row_hits=499",
+        "dram.dram.row_misses=8",
+        "dram.dram.row_conflicts=131",
+        "dram.dram.service_ns=13620",
+        "dram.dram.queue_ns=0",
+        "dram.mshr.allocs=638",
+        "dram.mshr.merges=0",
+        "dram.mshr.full_stalls=0",
+        "dram.mshr.stall_ns=13620",
+    });
+}
+
+void
+addIntervalResult(Golden &golden, const std::string &tag,
+                  const core::CacheIntervalResult &result)
+{
+    golden.add(tag + ".refs", result.refs);
+    golden.add(tag + ".instructions", result.instructions);
+    golden.add(tag + ".total_time_ns", result.total_time_ns);
+    golden.add(tag + ".reconfigurations",
+               static_cast<uint64_t>(result.reconfigurations));
+    golden.add(tag + ".committed_moves",
+               static_cast<uint64_t>(result.committed_moves));
+    golden.add(tag + ".boundaries", joinInts(result.boundary_trace));
+}
+
+TEST(MemGolden, IntervalAdaptiveCacheRun)
+{
+    trace::AppProfile app = trace::phasedCacheDemo();
+    core::CacheIntervalParams params;
+    params.probe_period = 4;
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        core::IntervalAdaptiveCache controller(model, params);
+        addIntervalResult(golden, name,
+                          controller.run(app, 3 * kGoldenRefs, 4));
+    }
+    golden.expect({
+        "flat.refs=60000",
+        "flat.instructions=150000",
+        "flat.total_time_ns=4677034015154109691",
+        "flat.reconfigurations=27",
+        "flat.committed_moves=3",
+        "flat.boundaries=4,4,4,5,4,4,4,3,4,4,4,5,4,4,4,3,4,4,4,5,4,4,4,3,3,3,3,4,3,3,3,2,3,3,3,4,3,3,3,2,2,2,2,3,2,2,2,1,2,2,2,3,2,2,2,1,1,1,1,2",
+        "dram.refs=60000",
+        "dram.instructions=150000",
+        "dram.total_time_ns=4676570385419059430",
+        "dram.reconfigurations=27",
+        "dram.committed_moves=3",
+        "dram.boundaries=4,4,4,5,4,4,4,3,4,4,4,5,4,4,4,3,4,4,4,5,4,4,4,3,3,3,3,4,3,3,3,2,3,3,3,4,3,3,3,2,2,2,2,3,2,2,2,1,2,2,2,3,2,2,2,1,1,1,1,2",
+    });
+}
+
+TEST(MemGolden, PhasePredictiveCacheRun)
+{
+    trace::AppProfile app = trace::phasedCacheDemo();
+    core::PhasePredictorParams params;
+    params.probe_period = 4;
+    params.min_stable_intervals = 3;
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        core::PhasePredictiveCache controller(model, params);
+        addIntervalResult(golden, name,
+                          controller.run(app, 3 * kGoldenRefs, 4));
+    }
+    golden.expect({
+        "flat.refs=60000",
+        "flat.instructions=150000",
+        "flat.total_time_ns=4676655748918142131",
+        "flat.reconfigurations=17",
+        "flat.committed_moves=3",
+        "flat.boundaries=4,4,4,4,4,4,4,4,5,4,4,4,3,3,3,3,4,3,3,3,2,2,2,2,3,2,2,2,1,1,1,1,2,1,1,1,1,1,1,1,2,1,1,1,1,1,1,1,2,1,1,1,1,1,1,1,2,1,1,1",
+        "dram.refs=60000",
+        "dram.instructions=150000",
+        "dram.total_time_ns=4676192376577448938",
+        "dram.reconfigurations=17",
+        "dram.committed_moves=3",
+        "dram.boundaries=4,4,4,4,4,4,4,4,5,4,4,4,3,3,3,3,4,3,3,3,2,2,2,2,3,2,2,2,1,1,1,1,2,1,1,1,1,1,1,1,2,1,1,1,1,1,1,1,2,1,1,1,1,1,1,1,2,1,1,1",
+    });
+}
+
+TEST(MemGolden, CacheIntervalOracleLanes)
+{
+    const trace::AppProfile &app = trace::findApp("compress");
+    std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        // 30000 refs in 4000-ref intervals: seven full intervals and
+        // a 2000-ref tail; two workers fan the lanes.
+        obs::DecisionTrace trace;
+        obs::CounterRegistry registry;
+        core::CacheIntervalResult result = core::runCacheIntervalOracle(
+            model, app, 30000, boundaries, 4000, true,
+            core::kClockSwitchPenaltyCycles, 2, {&trace, &registry},
+            false);
+        addIntervalResult(golden, name, result);
+        for (const obs::TraceEvent &e : trace.events()) {
+            if (e.kind != obs::EventKind::Interval)
+                continue;
+            std::string tag =
+                name + ".interval" + std::to_string(e.interval);
+            golden.add(tag + ".duration_ns", e.duration_ns);
+            golden.add(tag + ".mem_stall_ns", e.mem_stall_ns);
+        }
+    }
+    golden.expect({
+        "flat.refs=30000",
+        "flat.instructions=333330",
+        "flat.total_time_ns=4682455797021577534",
+        "flat.reconfigurations=1",
+        "flat.committed_moves=0",
+        "flat.boundaries=2,3,3,3,3,3,3,3",
+        "flat.interval0.duration_ns=4673039047726170159",
+        "flat.interval0.mem_stall_ns=0",
+        "flat.interval1.duration_ns=4669860931134657900",
+        "flat.interval1.mem_stall_ns=0",
+        "flat.interval2.duration_ns=4668579107542967218",
+        "flat.interval2.mem_stall_ns=0",
+        "flat.interval3.duration_ns=4668309249944716547",
+        "flat.interval3.mem_stall_ns=0",
+        "flat.interval4.duration_ns=4668123722845919214",
+        "flat.interval4.mem_stall_ns=0",
+        "flat.interval5.duration_ns=4668089990646137879",
+        "flat.interval5.mem_stall_ns=0",
+        "flat.interval6.duration_ns=4668073124546247212",
+        "flat.interval6.mem_stall_ns=0",
+        "flat.interval7.duration_ns=4663603257118658050",
+        "flat.interval7.mem_stall_ns=0",
+        "dram.refs=30000",
+        "dram.instructions=333330",
+        "dram.total_time_ns=4682065698465092283",
+        "dram.reconfigurations=1",
+        "dram.committed_moves=0",
+        "dram.boundaries=2,3,3,3,3,3,3,3",
+        "dram.interval0.duration_ns=4671973512026736312",
+        "dram.interval0.mem_stall_ns=4667105252757995520",
+        "dram.interval1.duration_ns=4669211119080995371",
+        "dram.interval1.mem_stall_ns=4656770393212715008",
+        "dram.interval2.duration_ns=4668353500011330091",
+        "dram.interval2.mem_stall_ns=4647679631074263040",
+        "dram.interval3.duration_ns=4668238051290413612",
+        "dram.interval3.mem_stall_ns=4643985272004935680",
+        "dram.interval4.duration_ns=4668097863557872171",
+        "dram.interval4.mem_stall_ns=4631530004285489152",
+        "dram.interval5.duration_ns=4668081370883455531",
+        "dram.interval5.mem_stall_ns=4624633867356078080",
+        "dram.interval6.duration_ns=4668073124546247212",
+        "dram.interval6.mem_stall_ns=0",
+        "dram.interval7.duration_ns=4663586017593293355",
+        "dram.interval7.mem_stall_ns=4624633867356078080",
+    });
+}
+
+TEST(MemGolden, AsyncCacheEvaluate)
+{
+    const trace::AppProfile &app = trace::findApp("compress");
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        core::AsyncCacheModel async_model(model);
+        for (int k : {2, 6}) {
+            core::AsyncCachePerf perf =
+                async_model.evaluate(app, k, kGoldenRefs);
+            std::string tag = name + "." + std::to_string(k);
+            golden.add(tag + ".avg_access_ns", perf.avg_access_ns);
+            golden.add(tag + ".worst_access_ns", perf.worst_access_ns);
+            golden.add(tag + ".tpi_ns", perf.tpi_ns);
+        }
+    }
+    golden.expect({
+        "flat.2.avg_access_ns=4611583894117912655",
+        "flat.2.worst_access_ns=4611902418913725269",
+        "flat.2.tpi_ns=4600262116765166924",
+        "flat.6.avg_access_ns=4611682955595693359",
+        "flat.6.worst_access_ns=4613241992649773284",
+        "flat.6.tpi_ns=4599618084814866722",
+        "dram.2.avg_access_ns=4611583894117912655",
+        "dram.2.worst_access_ns=4611902418913725269",
+        "dram.2.tpi_ns=4599814638658713285",
+        "dram.6.avg_access_ns=4611682955595693359",
+        "dram.6.worst_access_ns=4613241992649773284",
+        "dram.6.tpi_ns=4599170606708413083",
+    });
+}
+
+TEST(MemGolden, LatencyAdaptiveEvaluate)
+{
+    const trace::AppProfile &app = trace::findApp("compress");
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        core::LatencyAdaptiveCache latency(model);
+        for (int k : {2, 6}) {
+            core::CachePerf perf = latency.evaluate(app, k, kGoldenRefs);
+            std::string tag = name + "." + std::to_string(k);
+            golden.add(tag + ".tpi_ns", perf.tpi_ns);
+            golden.add(tag + ".tpi_miss_ns", perf.tpi_miss_ns);
+        }
+    }
+    core::AdaptiveCacheModel model;
+    core::LatencyAdaptiveCache latency(model);
+    for (int k = 1; k <= 8; ++k) {
+        core::LatencyModeTiming t = latency.timing(k);
+        std::string tag = "timing." + std::to_string(k);
+        golden.add(tag + ".l1_latency_cycles",
+                   static_cast<uint64_t>(t.l1_latency_cycles));
+        golden.add(tag + ".l2_hit_cycles", t.l2_hit_cycles);
+        golden.add(tag + ".miss_cycles", t.miss_cycles);
+    }
+    golden.expect({
+        "flat.2.tpi_ns=4600712312855994809",
+        "flat.2.tpi_miss_ns=4593624781208548800",
+        "flat.6.tpi_ns=4600471096666541909",
+        "flat.6.tpi_miss_ns=4590976033801851345",
+        "dram.2.tpi_ns=4600238513160072944",
+        "dram.2.tpi_miss_ns=4591729582424861343",
+        "dram.6.tpi_ns=4599997296970620044",
+        "dram.6.tpi_miss_ns=4588993649745792348",
+        "timing.1.l1_latency_cycles=3",
+        "timing.1.l2_hit_cycles=21",
+        "timing.1.miss_cycles=47",
+        "timing.2.l1_latency_cycles=4",
+        "timing.2.l2_hit_cycles=22",
+        "timing.2.miss_cycles=47",
+        "timing.3.l1_latency_cycles=4",
+        "timing.3.l2_hit_cycles=21",
+        "timing.3.miss_cycles=47",
+        "timing.4.l1_latency_cycles=4",
+        "timing.4.l2_hit_cycles=21",
+        "timing.4.miss_cycles=47",
+        "timing.5.l1_latency_cycles=4",
+        "timing.5.l2_hit_cycles=21",
+        "timing.5.miss_cycles=47",
+        "timing.6.l1_latency_cycles=5",
+        "timing.6.l2_hit_cycles=21",
+        "timing.6.miss_cycles=47",
+        "timing.7.l1_latency_cycles=5",
+        "timing.7.l2_hit_cycles=22",
+        "timing.7.miss_cycles=47",
+        "timing.8.l1_latency_cycles=5",
+        "timing.8.l2_hit_cycles=22",
+        "timing.8.miss_cycles=47",
+    });
+}
+
+TEST(MemGolden, ConcertStudy)
+{
+    std::vector<trace::AppProfile> apps = {trace::findApp("compress")};
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::ConcertStudy study =
+            core::runConcertStudy(apps, kGoldenRefs, mem_config);
+        std::vector<double> fields;
+        for (const core::ConcertPerf &p : study.perf[0]) {
+            fields.insert(fields.end(),
+                          {p.cycle_ns, p.tpi_ns, p.base_ns, p.cache_miss_ns,
+                           p.tlb_walk_ns, p.mispredict_ns});
+        }
+        golden.digest(name + ".fields", fields);
+        golden.add(name + ".best_conventional",
+                   static_cast<uint64_t>(study.selection.best_conventional));
+        // The first joint configuration of each boundary, in full.
+        for (const core::ConcertPerf &p : study.perf[0]) {
+            if (p.config.tlb_entries != study.configs[0].tlb_entries ||
+                p.config.bpred_entries != study.configs[0].bpred_entries)
+                continue;
+            std::string tag =
+                name + "." + std::to_string(p.config.cache_boundary);
+            golden.add(tag + ".cache_miss_ns", p.cache_miss_ns);
+            golden.add(tag + ".tlb_walk_ns", p.tlb_walk_ns);
+        }
+    }
+    golden.expect({
+        "flat.fields=1980995439678773575",
+        "flat.best_conventional=40",
+        "flat.1.cache_miss_ns=4598771306041698296",
+        "flat.1.tlb_walk_ns=4576164851532902990",
+        "flat.2.cache_miss_ns=4593471714315338339",
+        "flat.2.tlb_walk_ns=4576199566222613510",
+        "flat.3.cache_miss_ns=4591011264123385227",
+        "flat.3.tlb_walk_ns=4576184898866118358",
+        "flat.4.cache_miss_ns=4590936580451250084",
+        "flat.4.tlb_walk_ns=4576319538570712093",
+        "flat.5.cache_miss_ns=4590975674733027580",
+        "flat.5.tlb_walk_ns=4576218452633357010",
+        "flat.6.cache_miss_ns=4590973745908712342",
+        "flat.6.tlb_walk_ns=4576291364780193654",
+        "flat.7.cache_miss_ns=4590930793978304369",
+        "flat.7.tlb_walk_ns=4576339585903927460",
+        "flat.8.cache_miss_ns=4591052898884424954",
+        "flat.8.tlb_walk_ns=4576363116004558430",
+        "dram.fields=11222873689831229549",
+        "dram.best_conventional=40",
+        "dram.1.cache_miss_ns=4598297506819576127",
+        "dram.1.tlb_walk_ns=4576164851532902990",
+        "dram.2.cache_miss_ns=4591672677064188792",
+        "dram.2.tlb_walk_ns=4576199566222613510",
+        "dram.3.cache_miss_ns=4588993640912963639",
+        "dram.3.tlb_walk_ns=4576184898866118358",
+        "dram.4.cache_miss_ns=4588993640912963640",
+        "dram.4.tlb_walk_ns=4576319538570712093",
+        "dram.5.cache_miss_ns=4588993640912963639",
+        "dram.5.tlb_walk_ns=4576218452633357010",
+        "dram.6.cache_miss_ns=4588993640912963639",
+        "dram.6.tlb_walk_ns=4576291364780193654",
+        "dram.7.cache_miss_ns=4588993640912963639",
+        "dram.7.tlb_walk_ns=4576339585903927460",
+        "dram.8.cache_miss_ns=4588993640912963636",
+        "dram.8.tlb_walk_ns=4576363116004558430",
+    });
+}
+
+TEST(MemGolden, Multiprogram)
+{
+    std::vector<trace::AppProfile> apps = {trace::findApp("li"),
+                                           trace::findApp("compress")};
+    Golden golden;
+    for (const auto &[name, mem_config] : goldenBackends()) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(mem_config);
+        core::MultiprogramParams fixed;
+        fixed.quantum_refs = 5000;
+        fixed.boundaries = {2, 6};
+        core::MultiprogramParams adaptive;
+        adaptive.quantum_refs = 5000;
+        adaptive.profile_refs = 10000;
+        for (const auto &[policy, params] :
+             {std::pair{"fixed", fixed}, std::pair{"adaptive", adaptive}}) {
+            core::MultiprogramResult result =
+                core::runMultiprogram(model, apps, kGoldenRefs, params);
+            std::string tag = name + "." + policy;
+            golden.add(tag + ".switches",
+                       static_cast<uint64_t>(result.switches));
+            golden.add(tag + ".switch_overhead_ns",
+                       result.switch_overhead_ns);
+            golden.add(tag + ".total_time_ns", result.total_time_ns);
+            for (const core::MultiprogramAppResult &a : result.apps) {
+                golden.add(tag + "." + a.name + ".boundary",
+                           static_cast<uint64_t>(a.boundary));
+                golden.add(tag + "." + a.name + ".instructions",
+                           a.instructions);
+                golden.add(tag + "." + a.name + ".time_ns", a.time_ns);
+            }
+        }
+    }
+    golden.expect({
+        "flat.fixed.switches=7",
+        "flat.fixed.switch_overhead_ns=4667569082781628935",
+        "flat.fixed.total_time_ns=4683058377296482841",
+        "flat.fixed.li.boundary=2",
+        "flat.fixed.li.instructions=57140",
+        "flat.fixed.li.time_ns=4672021154845550614",
+        "flat.fixed.compress.boundary=6",
+        "flat.fixed.compress.instructions=222220",
+        "flat.fixed.compress.time_ns=4680692458517407955",
+        "flat.adaptive.switches=7",
+        "flat.adaptive.switch_overhead_ns=4666739207694904854",
+        "flat.adaptive.total_time_ns=4682065679328144577",
+        "flat.adaptive.li.boundary=1",
+        "flat.adaptive.li.instructions=57140",
+        "flat.adaptive.li.time_ns=4671848084519971022",
+        "flat.adaptive.compress.boundary=3",
+        "flat.adaptive.compress.instructions=222220",
+        "flat.adaptive.compress.time_ns=4679846762516305099",
+        "dram.fixed.switches=7",
+        "dram.fixed.switch_overhead_ns=4667569082781628935",
+        "dram.fixed.total_time_ns=4682427694429912409",
+        "dram.fixed.li.boundary=2",
+        "dram.fixed.li.instructions=57140",
+        "dram.fixed.li.time_ns=4671044934156571268",
+        "dram.fixed.compress.boundary=6",
+        "dram.fixed.compress.instructions=222220",
+        "dram.fixed.compress.time_ns=4680305830823082359",
+        "dram.adaptive.switches=7",
+        "dram.adaptive.switch_overhead_ns=4666739207694904854",
+        "dram.adaptive.total_time_ns=4681421781318414491",
+        "dram.adaptive.li.boundary=1",
+        "dram.adaptive.li.instructions=57140",
+        "dram.adaptive.li.time_ns=4670838644334139890",
+        "dram.adaptive.compress.boundary=3",
+        "dram.adaptive.compress.instructions=222220",
+        "dram.adaptive.compress.time_ns=4679455224553032795",
+    });
 }
 
 } // namespace
