@@ -58,14 +58,42 @@ foldCacheCounters(obs::CounterRegistry &registry,
 
 } // namespace
 
-namespace detail {
+CachePerf
+cachePerfCounts(const cache::CacheStats &stats, int l1_increments,
+                double refs_per_instr)
+{
+    capAssert(refs_per_instr > 0.0, "refs_per_instr must be positive");
+    CachePerf perf;
+    perf.l1_increments = l1_increments;
+    perf.refs = stats.refs;
+    perf.instructions = static_cast<uint64_t>(
+        static_cast<double>(stats.refs) / refs_per_instr);
+    perf.l1_miss_ratio = stats.l1MissRatio();
+    perf.global_miss_ratio = stats.globalMissRatio();
+    return perf;
+}
+
+MissClock::MissClock(const mem::MemConfig &mem)
+{
+    if (mem.isDram())
+        backend_.emplace(mem.dram);
+}
 
 void
-foldMemCounters(obs::CounterRegistry &registry,
-                const mem::DramBackend &backend)
+MissClock::chargeMiss(Addr addr)
 {
-    const mem::DramStats &dram = backend.dramStats();
-    const mem::MshrStats &mshr = backend.mshrStats();
+    Nanoseconds stall = backend_->onMiss(addr, now_ns_);
+    now_ns_ += stall;
+    stall_ns_ += stall;
+}
+
+void
+MissClock::foldCounters(obs::CounterRegistry &registry) const
+{
+    if (!backend_)
+        return;
+    const mem::DramStats &dram = backend_->dramStats();
+    const mem::MshrStats &mshr = backend_->mshrStats();
     registry.counter("dram.accesses").add(dram.accesses);
     registry.counter("dram.row_hits").add(dram.row_hits);
     registry.counter("dram.row_misses").add(dram.row_misses);
@@ -80,8 +108,6 @@ foldMemCounters(obs::CounterRegistry &registry,
     registry.counter("mshr.stall_ns")
         .add(static_cast<uint64_t>(mshr.stall_ns));
 }
-
-} // namespace detail
 
 AdaptiveCacheModel::AdaptiveCacheModel(
     const cache::HierarchyGeometry &geometry,
@@ -155,14 +181,8 @@ AdaptiveCacheModel::perfFromStats(const cache::CacheStats &stats,
                                   const CacheBoundaryTiming &timing,
                                   double refs_per_instr) const
 {
-    capAssert(refs_per_instr > 0.0, "refs_per_instr must be positive");
-    CachePerf perf;
-    perf.l1_increments = timing.l1_increments;
-    perf.refs = stats.refs;
-    perf.instructions = static_cast<uint64_t>(
-        static_cast<double>(stats.refs) / refs_per_instr);
-    perf.l1_miss_ratio = stats.l1MissRatio();
-    perf.global_miss_ratio = stats.globalMissRatio();
+    CachePerf perf =
+        cachePerfCounts(stats, timing.l1_increments, refs_per_instr);
     if (perf.instructions == 0)
         return perf;
 
@@ -186,14 +206,8 @@ AdaptiveCacheModel::perfFromDram(const cache::CacheStats &stats,
                                  double refs_per_instr,
                                  Nanoseconds dram_stall_ns) const
 {
-    capAssert(refs_per_instr > 0.0, "refs_per_instr must be positive");
-    CachePerf perf;
-    perf.l1_increments = timing.l1_increments;
-    perf.refs = stats.refs;
-    perf.instructions = static_cast<uint64_t>(
-        static_cast<double>(stats.refs) / refs_per_instr);
-    perf.l1_miss_ratio = stats.l1MissRatio();
-    perf.global_miss_ratio = stats.globalMissRatio();
+    CachePerf perf =
+        cachePerfCounts(stats, timing.l1_increments, refs_per_instr);
     if (perf.instructions == 0)
         return perf;
 
@@ -211,78 +225,10 @@ AdaptiveCacheModel::perfFromDram(const cache::CacheStats &stats,
 }
 
 CachePerf
-AdaptiveCacheModel::evaluateDram(const trace::AppProfile &app,
-                                 int l1_increments, uint64_t refs,
-                                 obs::DecisionTrace *trace,
-                                 obs::CounterRegistry *registry) const
-{
-    capAssert(refs > 0, "evaluation needs references");
-    CacheBoundaryTiming timing = boundaryTiming(l1_increments);
-
-    cache::ExclusiveHierarchy hierarchy(geometry_, l1_increments);
-    if (registry)
-        hierarchy.attachMetrics(*registry);
-    mem::DramBackend backend(mem_.dram);
-    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord batch[trace::kTraceBatch];
-
-    // Pipeline clock of the dram walk: misses arrive at realistic
-    // spacings so bank/MSHR state reflects the reference stream.
-    Nanoseconds now_ns = 0.0;
-    const Nanoseconds ref_ns =
-        timing.cycle_ns /
-        (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-    const Nanoseconds l2_hit_ns =
-        timing.cycle_ns * static_cast<double>(timing.l2_hit_cycles);
-    Nanoseconds dram_stall_ns = 0.0;
-    for (;;) {
-        uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i) {
-            cache::AccessOutcome outcome = hierarchy.access(batch[i]);
-            now_ns += ref_ns;
-            if (outcome == cache::AccessOutcome::L2Hit) {
-                now_ns += l2_hit_ns;
-            } else if (outcome == cache::AccessOutcome::Miss) {
-                Nanoseconds stall = backend.onMiss(batch[i].addr, now_ns);
-                now_ns += stall;
-                dram_stall_ns += stall;
-            }
-        }
-    }
-
-    CachePerf perf = perfFromDram(hierarchy.stats(), timing,
-                                  app.cache.refs_per_instr, dram_stall_ns);
-    if (registry)
-        detail::foldMemCounters(*registry, backend);
-    if (trace)
-        trace->add(cellEvent(app, timing, perf));
-    return perf;
-}
-
-CachePerf
 AdaptiveCacheModel::evaluate(const trace::AppProfile &app,
                              int l1_increments, uint64_t refs) const
 {
-    if (mem_.isDram())
-        return evaluateDram(app, l1_increments, refs, nullptr, nullptr);
-    capAssert(refs > 0, "evaluation needs references");
-    CacheBoundaryTiming timing = boundaryTiming(l1_increments);
-
-    cache::ExclusiveHierarchy hierarchy(geometry_, l1_increments);
-    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord batch[trace::kTraceBatch];
-    for (;;) {
-        uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i)
-            hierarchy.access(batch[i]);
-    }
-
-    return perfFromStats(hierarchy.stats(), timing,
-                         app.cache.refs_per_instr);
+    return evaluateObserved(app, l1_increments, refs, nullptr, nullptr);
 }
 
 CachePerf
@@ -291,10 +237,6 @@ AdaptiveCacheModel::evaluateObserved(const trace::AppProfile &app,
                                      obs::DecisionTrace *trace,
                                      obs::CounterRegistry *registry) const
 {
-    if (mem_.isDram())
-        return evaluateDram(app, l1_increments, refs, trace, registry);
-    if (!trace && !registry)
-        return evaluate(app, l1_increments, refs);
     capAssert(refs > 0, "evaluation needs references");
     CacheBoundaryTiming timing = boundaryTiming(l1_increments);
 
@@ -302,17 +244,18 @@ AdaptiveCacheModel::evaluateObserved(const trace::AppProfile &app,
     if (registry)
         hierarchy.attachMetrics(*registry);
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord batch[trace::kTraceBatch];
-    for (;;) {
-        uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i)
-            hierarchy.access(batch[i]);
-    }
+    MissClock clock(mem_);
+    clock.pace(timing, app.cache.refs_per_instr);
+    walkTrace(source, hierarchy, clock, refs);
 
-    CachePerf perf = perfFromStats(hierarchy.stats(), timing,
-                                   app.cache.refs_per_instr);
+    CachePerf perf =
+        clock.dram()
+            ? perfFromDram(hierarchy.stats(), timing,
+                           app.cache.refs_per_instr, clock.takeStall())
+            : perfFromStats(hierarchy.stats(), timing,
+                            app.cache.refs_per_instr);
+    if (registry)
+        clock.foldCounters(*registry);
     if (trace)
         trace->add(cellEvent(app, timing, perf));
     return perf;

@@ -13,6 +13,8 @@
 #ifndef CAPSIM_CORE_ADAPTIVE_CACHE_H
 #define CAPSIM_CORE_ADAPTIVE_CACHE_H
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "cache/exclusive_hierarchy.h"
@@ -25,16 +27,10 @@
 #include "timing/technology.h"
 #include "timing/wire.h"
 #include "trace/profile.h"
+#include "trace/record.h"
 #include "util/units.h"
 
 namespace cap::core {
-
-namespace detail {
-/** Fold one dram backend's `dram.*`/`mshr.*` statistics into a
- *  counter registry (shared by every dram-mode evaluation loop). */
-void foldMemCounters(obs::CounterRegistry &registry,
-                     const mem::DramBackend &backend);
-} // namespace detail
 
 /** Timing of one boundary placement. */
 struct CacheBoundaryTiming
@@ -66,6 +62,116 @@ struct CachePerf
     /** Miss-stall component of TPI, ns. */
     double tpi_miss_ns = 0.0;
 };
+
+/** The counts and miss ratios of @p stats, with no time folded in
+ *  yet: the prologue every cache TPI fold starts from. */
+CachePerf cachePerfCounts(const cache::CacheStats &stats, int l1_increments,
+                          double refs_per_instr);
+
+/**
+ * When each L2 miss reaches memory, and what it costs -- the one
+ * decision every cache-side model delegates.
+ *
+ * Under a flat config the clock carries no backend and charge() does
+ * nothing: the caller prices misses at the fixed kL2MissNs edge from
+ * its counts.  Under dram it runs the pipeline clock that feeds a
+ * mem::DramBackend: each reference advances `now` by the paced
+ * reference time, then an L2 hit by the L2-hit time, or a miss by the
+ * stall the backend returns for it at that `now`.  The stall accrues
+ * until takeStall().  Backend state and `now` persist across pace()
+ * changes, so one clock can span intervals, quanta or boundary moves.
+ */
+class MissClock
+{
+  public:
+    explicit MissClock(const mem::MemConfig &mem);
+
+    /** True when misses are priced by a DRAM backend. */
+    bool dram() const { return backend_.has_value(); }
+
+    /** Pace references at @p timing's clock: each takes
+     *  cycle_ns / (kBaseIpc * refs_per_instr), an L2 hit a further
+     *  l2_hit_cycles cycles. */
+    void pace(const CacheBoundaryTiming &timing, double refs_per_instr)
+    {
+        pace(timing.cycle_ns, refs_per_instr,
+             timing.cycle_ns * static_cast<double>(timing.l2_hit_cycles));
+    }
+
+    /** As above, with the reference cycle and the L2-hit time given
+     *  apart (for models whose L2 is not clocked like their pipe). */
+    void pace(Nanoseconds ref_cycle_ns, double refs_per_instr,
+              Nanoseconds l2_hit_ns)
+    {
+        ref_ns_ = ref_cycle_ns / (CacheMachine::kBaseIpc * refs_per_instr);
+        l2_hit_ns_ = l2_hit_ns;
+    }
+
+    /** Advance the clock past one access of @p addr. */
+    void charge(cache::AccessOutcome outcome, Addr addr)
+    {
+        if (!backend_)
+            return;
+        now_ns_ += ref_ns_;
+        if (outcome == cache::AccessOutcome::L2Hit)
+            now_ns_ += l2_hit_ns_;
+        else if (outcome == cache::AccessOutcome::Miss)
+            chargeMiss(addr);
+    }
+
+    /** Miss stall accrued since the last call, ns (0 under flat). */
+    Nanoseconds takeStall()
+    {
+        Nanoseconds stall = stall_ns_;
+        stall_ns_ = 0.0;
+        return stall;
+    }
+
+    /** Add the backend's `dram.*`/`mshr.*` statistics to @p registry
+     *  (nothing under flat). */
+    void foldCounters(obs::CounterRegistry &registry) const;
+
+  private:
+    /** Present a miss to the backend now; the stall delays the clock. */
+    void chargeMiss(Addr addr);
+
+    std::optional<mem::DramBackend> backend_;
+    Nanoseconds now_ns_ = 0.0;
+    Nanoseconds ref_ns_ = 0.0;
+    Nanoseconds l2_hit_ns_ = 0.0;
+    Nanoseconds stall_ns_ = 0.0;
+};
+
+/** walkTrace()'s default visitor: ignores every access. */
+struct IgnoreAccess
+{
+    void operator()(const cache::AccessDetail &) const {}
+};
+
+/**
+ * The cache timing walk: up to @p refs references of @p source, in
+ * trace batches, through @p hierarchy, each access charged to
+ * @p clock.  @p visit, when given, sees every access's detail first.
+ */
+template <typename Visit = IgnoreAccess>
+void
+walkTrace(trace::TraceSource &source, cache::ExclusiveHierarchy &hierarchy,
+          MissClock &clock, uint64_t refs, Visit visit = {})
+{
+    trace::TraceRecord batch[trace::kTraceBatch];
+    for (uint64_t left = refs; left > 0;) {
+        uint64_t n = source.nextBatch(
+            batch, std::min<uint64_t>(left, trace::kTraceBatch));
+        if (n == 0)
+            break;
+        for (uint64_t i = 0; i < n; ++i) {
+            cache::AccessDetail detail = hierarchy.accessDetailed(batch[i]);
+            visit(detail);
+            clock.charge(detail.outcome, batch[i].addr);
+        }
+        left -= n;
+    }
+}
 
 /**
  * Binds geometry, timing and the exclusive-hierarchy simulator into
@@ -102,17 +208,18 @@ class AdaptiveCacheModel
 
     /**
      * Select the memory backend serving L2 misses.  The default Flat
-     * config reproduces the historical fixed kL2MissNs edge exactly
-     * (every flat-mode code path is untouched); Dram routes misses
-     * through a mem::DramBackend, making miss cost depend on row
-     * locality, bank contention and MSHR overlap (docs/MEMORY.md).
+     * config reproduces the historical fixed kL2MissNs edge exactly;
+     * Dram routes misses through a mem::DramBackend on a MissClock,
+     * making miss cost depend on row locality, bank contention and
+     * MSHR overlap (docs/MEMORY.md).
      */
     void setMemConfig(const mem::MemConfig &config) { mem_ = config; }
     const mem::MemConfig &memConfig() const { return mem_; }
 
     /**
      * Trace-driven evaluation: run @p refs references of @p app with
-     * the boundary fixed at @p l1_increments and derive TPI/TPImiss.
+     * the boundary fixed at @p l1_increments and derive TPI/TPImiss
+     * (evaluateObserved() with both observers null).
      */
     CachePerf evaluate(const trace::AppProfile &app, int l1_increments,
                        uint64_t refs) const;
@@ -120,9 +227,9 @@ class AdaptiveCacheModel
     /**
      * As evaluate(), additionally recording observability: the
      * hierarchy's hit/miss/writeback counters and service-way
-     * histogram into @p registry, and one Cell summary record into
-     * @p trace.  Both observers null reduces to evaluate(); the
-     * performance result is always bit-identical to evaluate().
+     * histogram (plus the clock's `dram.*`/`mshr.*` counters under
+     * dram) into @p registry, and one Cell summary record into
+     * @p trace.  Observers never change the performance result.
      */
     CachePerf evaluateObserved(const trace::AppProfile &app,
                                int l1_increments, uint64_t refs,
@@ -179,12 +286,6 @@ class AdaptiveCacheModel
                            Nanoseconds dram_stall_ns) const;
 
   private:
-    /** The per-access dram evaluation loop behind evaluate() and
-     *  evaluateObserved() when the configured backend is Dram. */
-    CachePerf evaluateDram(const trace::AppProfile &app, int l1_increments,
-                           uint64_t refs, obs::DecisionTrace *trace,
-                           obs::CounterRegistry *registry) const;
-
     cache::HierarchyGeometry geometry_;
     const timing::Technology *tech_;
     timing::WireModel wires_;

@@ -27,24 +27,20 @@ AsyncCacheModel::evaluate(const trace::AppProfile &app, int l1_increments,
         model.incrementAccessNs() + model.busDelayNs(l1_increments);
     CacheBoundaryTiming sync_timing = model.boundaryTiming(l1_increments);
 
-    cache::ExclusiveHierarchy hierarchy(geometry, l1_increments);
-    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord record;
-
-    const bool dram = model.memConfig().isDram();
-    mem::DramBackend backend(model.memConfig().dram);
-    const Nanoseconds ref_ns =
-        base_stage / (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-    const Nanoseconds l2_access_step =
+    // Miss service times are physical (ns), independent of clocking.
+    const Nanoseconds l2_access_ns =
         static_cast<double>(sync_timing.l2_hit_cycles) *
         sync_timing.cycle_ns;
-    Nanoseconds now_ns = 0.0;
-    Nanoseconds dram_stall_ns = 0.0;
+
+    cache::ExclusiveHierarchy hierarchy(geometry, l1_increments);
+    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
+    MissClock clock(model.memConfig());
+    clock.pace(base_stage, app.cache.refs_per_instr, l2_access_ns);
 
     double access_time_sum = 0.0;
     double extra_stage_ns = 0.0;
-    while (source.next(record)) {
-        cache::AccessDetail detail = hierarchy.accessDetailed(record);
+    walkTrace(source, hierarchy, clock, refs,
+              [&](const cache::AccessDetail &detail) {
         if (detail.outcome == cache::AccessOutcome::L1Hit) {
             int increment = geometry.incrementOfWay(detail.service_way);
             Nanoseconds access = model.incrementAccessNs() +
@@ -59,17 +55,7 @@ AsyncCacheModel::evaluate(const trace::AppProfile &app, int l1_increments,
             // stalls (added below from the stats).
             access_time_sum += worst_access;
         }
-        if (!dram)
-            continue;
-        now_ns += ref_ns;
-        if (detail.outcome == cache::AccessOutcome::L2Hit) {
-            now_ns += l2_access_step;
-        } else if (detail.outcome == cache::AccessOutcome::Miss) {
-            Nanoseconds stall = backend.onMiss(record.addr, now_ns);
-            now_ns += stall;
-            dram_stall_ns += stall;
-        }
-    }
+    });
     const cache::CacheStats &stats = hierarchy.stats();
 
     AsyncCachePerf perf;
@@ -86,13 +72,10 @@ AsyncCacheModel::evaluate(const trace::AppProfile &app, int l1_increments,
 
     double instrs = static_cast<double>(perf.instructions);
     double base_ns = instrs / CacheMachine::kBaseIpc * base_stage;
-    // Miss service times are physical (ns), independent of clocking.
-    double l2_access_ns = static_cast<double>(sync_timing.l2_hit_cycles) *
-                          sync_timing.cycle_ns;
     double miss_ns = static_cast<double>(stats.l2_hits) * l2_access_ns +
-                     (dram ? dram_stall_ns
-                           : static_cast<double>(stats.misses) *
-                                 CacheMachine::kL2MissNs);
+                     (clock.dram() ? clock.takeStall()
+                                   : static_cast<double>(stats.misses) *
+                                         CacheMachine::kL2MissNs);
     perf.tpi_ns = (base_ns + extra_stage_ns + miss_ns) / instrs;
     return perf;
 }

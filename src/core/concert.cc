@@ -1,7 +1,6 @@
 #include "concert.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "cache/exclusive_hierarchy.h"
 #include "trace/stream.h"
@@ -108,41 +107,16 @@ runConcertStudy(const std::vector<trace::AppProfile> &apps, uint64_t refs,
         // clock, so measured once each). ---
         AppMeasurements m;
         for (int k = 1; k <= kMaxBoundary; ++k) {
+            // Walk at this boundary's native clock so a dram backend
+            // sees realistic miss spacings; the measured stall is
+            // physical ns, reused at every joint clock.
             cache::ExclusiveHierarchy hierarchy(cache_model.geometry(), k);
             trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-            trace::TraceRecord record;
-            if (mem.isDram()) {
-                // Walk at this boundary's native clock so the backend
-                // sees realistic miss spacings; the measured stall is
-                // physical ns, reused at every joint clock.
-                mem::DramBackend backend(mem.dram);
-                CacheBoundaryTiming native = cache_model.boundaryTiming(k);
-                const Nanoseconds ref_ns =
-                    native.cycle_ns /
-                    (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-                const Nanoseconds l2_hit_ns =
-                    native.cycle_ns *
-                    static_cast<double>(native.l2_hit_cycles);
-                Nanoseconds now_ns = 0.0;
-                Nanoseconds stall_ns = 0.0;
-                while (source.next(record)) {
-                    cache::AccessOutcome outcome = hierarchy.access(record);
-                    now_ns += ref_ns;
-                    if (outcome == cache::AccessOutcome::L2Hit) {
-                        now_ns += l2_hit_ns;
-                    } else if (outcome == cache::AccessOutcome::Miss) {
-                        Nanoseconds stall =
-                            backend.onMiss(record.addr, now_ns);
-                        now_ns += stall;
-                        stall_ns += stall;
-                    }
-                }
-                m.dram_stall_ns.push_back(stall_ns);
-            } else {
-                while (source.next(record))
-                    hierarchy.access(record);
-                m.dram_stall_ns.push_back(0.0);
-            }
+            MissClock clock(mem);
+            clock.pace(cache_model.boundaryTiming(k),
+                       app.cache.refs_per_instr);
+            walkTrace(source, hierarchy, clock, refs);
+            m.dram_stall_ns.push_back(clock.takeStall());
             m.cache_stats.push_back(hierarchy.stats());
         }
         uint64_t tlb_accesses = refs / 4;
@@ -188,7 +162,8 @@ runConcertStudy(const std::vector<trace::AppProfile> &apps, uint64_t refs,
             perf.config = config;
             perf.cycle_ns = cycle;
             perf.base_ns = cycle / CacheMachine::kBaseIpc;
-            double l2_hit_cycles = std::ceil(l2_access_ns / cycle);
+            double l2_hit_cycles =
+                static_cast<double>(missCycles(l2_access_ns, cycle));
             double miss_cycles = static_cast<double>(
                 missCycles(CacheMachine::kL2MissNs, cycle));
             if (mem.isDram()) {
@@ -206,8 +181,8 @@ runConcertStudy(const std::vector<trace::AppProfile> &apps, uint64_t refs,
                      static_cast<double>(stats.misses) * miss_cycles) /
                     instrs;
             }
-            double walk_cycles = std::ceil(AdaptiveTlbModel::kWalkNs /
-                                           cycle);
+            double walk_cycles = static_cast<double>(
+                missCycles(AdaptiveTlbModel::kWalkNs, cycle));
             perf.tlb_walk_ns = cycle * walk_cycles * m.tlb_miss[ti] *
                                refs_d / instrs;
             perf.mispredict_ns =

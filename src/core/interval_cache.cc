@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "cache/exclusive_hierarchy.h"
 #include "cache/stack_sim.h"
@@ -14,73 +13,51 @@ namespace cap::core {
 
 namespace {
 
-/** Run one interval on a live hierarchy; returns the time in ns.
- *  When @p backend is non-null (dram mode) the walk is per-record:
- *  misses are priced by the backend at pipeline time @p *mem_now_ns
- *  (carried across intervals so bank/MSHR state persists), and the
- *  interval's measured miss stall is returned via @p mem_stall_out. */
-double
+/** Time and retirement of one interval at one boundary. */
+struct IntervalCost
+{
+    double time_ns = 0.0;
+    uint64_t instructions = 0;
+    /** Miss stall measured by a dram clock (0 under flat), ns. */
+    Nanoseconds mem_stall_ns = 0.0;
+};
+
+/** Run one interval of @p interval_refs on a live hierarchy, pricing
+ *  misses on @p clock (its DRAM state and time carry across
+ *  intervals). */
+IntervalCost
 runInterval(const AdaptiveCacheModel &model,
             cache::ExclusiveHierarchy &hierarchy,
             trace::SyntheticTraceSource &source, uint64_t interval_refs,
             const CacheBoundaryTiming &timing, double refs_per_instr,
-            uint64_t &instructions_out,
-            mem::DramBackend *backend = nullptr,
-            Nanoseconds *mem_now_ns = nullptr,
-            Nanoseconds *mem_stall_out = nullptr)
+            MissClock &clock)
 {
     cache::CacheStats before = hierarchy.stats();
-    trace::TraceRecord batch[trace::kTraceBatch];
-    Nanoseconds stall_total = 0.0;
-    if (backend) {
-        Nanoseconds now_ns = *mem_now_ns;
-        const Nanoseconds ref_ns =
-            timing.cycle_ns / (CacheMachine::kBaseIpc * refs_per_instr);
-        const Nanoseconds l2_hit_ns =
-            timing.cycle_ns * static_cast<double>(timing.l2_hit_cycles);
-        for (uint64_t left = interval_refs; left > 0;) {
-            uint64_t n = source.nextBatch(
-                batch, std::min<uint64_t>(left, trace::kTraceBatch));
-            if (n == 0)
-                break;
-            for (uint64_t i = 0; i < n; ++i) {
-                cache::AccessOutcome outcome = hierarchy.access(batch[i]);
-                now_ns += ref_ns;
-                if (outcome == cache::AccessOutcome::L2Hit) {
-                    now_ns += l2_hit_ns;
-                } else if (outcome == cache::AccessOutcome::Miss) {
-                    Nanoseconds stall =
-                        backend->onMiss(batch[i].addr, now_ns);
-                    now_ns += stall;
-                    stall_total += stall;
-                }
-            }
-            left -= n;
-        }
-        *mem_now_ns = now_ns;
-    } else {
-        for (uint64_t left = interval_refs; left > 0;) {
-            uint64_t n = source.nextBatch(
-                batch, std::min<uint64_t>(left, trace::kTraceBatch));
-            if (n == 0)
-                break;
-            for (uint64_t i = 0; i < n; ++i)
-                hierarchy.access(batch[i]);
-            left -= n;
-        }
-    }
+    clock.pace(timing, refs_per_instr);
+    walkTrace(source, hierarchy, clock, interval_refs);
     cache::CacheStats delta = hierarchy.stats() - before;
-    if (mem_stall_out)
-        *mem_stall_out = stall_total;
-    if (backend) {
-        CachePerf perf =
-            model.perfFromDram(delta, timing, refs_per_instr, stall_total);
-        instructions_out = perf.instructions;
-        return perf.tpi_ns * static_cast<double>(perf.instructions);
-    }
-    CachePerf perf = model.perfFromStats(delta, timing, refs_per_instr);
-    instructions_out = perf.instructions;
-    return perf.tpi_ns * static_cast<double>(perf.instructions);
+    Nanoseconds stall = clock.takeStall();
+    CachePerf perf =
+        clock.dram()
+            ? model.perfFromDram(delta, timing, refs_per_instr, stall)
+            : model.perfFromStats(delta, timing, refs_per_instr);
+    return {perf.tpi_ns * static_cast<double>(perf.instructions),
+            perf.instructions, stall};
+}
+
+/** Credit one interval run at @p boundary to a controller's
+ *  @p result; returns the interval's TPI. */
+double
+credit(CacheIntervalResult &result, const IntervalCost &cost,
+       uint64_t refs, int boundary)
+{
+    result.total_time_ns += cost.time_ns;
+    result.refs += refs;
+    result.instructions += cost.instructions;
+    result.boundary_trace.push_back(boundary);
+    return cost.instructions
+               ? cost.time_ns / static_cast<double>(cost.instructions)
+               : 0.0;
 }
 
 } // namespace
@@ -108,11 +85,7 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
     cache::ExclusiveHierarchy hierarchy(model_->geometry(),
                                         initial_boundary);
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    std::unique_ptr<mem::DramBackend> backend;
-    Nanoseconds mem_now_ns = 0.0;
-    if (model_->memConfig().isDram())
-        backend =
-            std::make_unique<mem::DramBackend>(model_->memConfig().dram);
+    MissClock clock(model_->memConfig());
 
     int current = initial_boundary;
     std::vector<double> estimate(static_cast<size_t>(max_boundary) + 1,
@@ -140,17 +113,11 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
     };
 
     auto measureInterval = [&]() {
-        CacheBoundaryTiming timing = model_->boundaryTiming(current);
-        uint64_t instrs = 0;
-        double time_ns =
+        IntervalCost cost =
             runInterval(*model_, hierarchy, source, params_.interval_refs,
-                        timing, app.cache.refs_per_instr, instrs,
-                        backend.get(), &mem_now_ns);
-        result.total_time_ns += time_ns;
-        result.refs += params_.interval_refs;
-        result.instructions += instrs;
-        result.boundary_trace.push_back(current);
-        double tpi = instrs ? time_ns / static_cast<double>(instrs) : 0.0;
+                        model_->boundaryTiming(current),
+                        app.cache.refs_per_instr, clock);
+        double tpi = credit(result, cost, params_.interval_refs, current);
         fold(current, tpi);
         return tpi;
     };
@@ -236,11 +203,7 @@ PhasePredictiveCache::run(const trace::AppProfile &app, uint64_t refs,
     cache::ExclusiveHierarchy hierarchy(model_->geometry(),
                                         initial_boundary);
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    std::unique_ptr<mem::DramBackend> backend;
-    Nanoseconds mem_now_ns = 0.0;
-    if (model_->memConfig().isDram())
-        backend =
-            std::make_unique<mem::DramBackend>(model_->memConfig().dram);
+    MissClock clock(model_->memConfig());
 
     int current = initial_boundary;
     CacheIntervalResult result;
@@ -276,17 +239,11 @@ PhasePredictiveCache::run(const trace::AppProfile &app, uint64_t refs,
 
     uint64_t total_intervals = refs / params_.interval_refs;
     for (uint64_t interval = 0; interval < total_intervals; ++interval) {
-        CacheBoundaryTiming timing = model_->boundaryTiming(current);
-        uint64_t instrs = 0;
-        double time_ns =
+        IntervalCost cost =
             runInterval(*model_, hierarchy, source, params_.interval_refs,
-                        timing, app.cache.refs_per_instr, instrs,
-                        backend.get(), &mem_now_ns);
-        result.total_time_ns += time_ns;
-        result.refs += params_.interval_refs;
-        result.instructions += instrs;
-        result.boundary_trace.push_back(current);
-        double tpi = instrs ? time_ns / static_cast<double>(instrs) : 0.0;
+                        model_->boundaryTiming(current),
+                        app.cache.refs_per_instr, clock);
+        double tpi = credit(result, cost, params_.interval_refs, current);
         ++since_jump;
         fold(current, tpi);
 
@@ -372,8 +329,7 @@ runCacheIntervalOracle(const AdaptiveCacheModel &model,
     // Stack distances cannot price a dram miss (the cost depends on
     // address order, which the depth histogram discards), so dram
     // mode always runs the per-boundary lane engine (docs/PERF.md).
-    const bool dram = model.memConfig().isDram();
-    one_pass = one_pass && !dram;
+    one_pass = one_pass && !model.memConfig().isDram();
 
     uint64_t full_intervals = refs / interval_refs;
     uint64_t tail_refs = refs % interval_refs;
@@ -381,12 +337,6 @@ runCacheIntervalOracle(const AdaptiveCacheModel &model,
 
     // Phase 1: per-candidate per-interval costs.  Both engines fill
     // the same table; the reduction below never knows which ran.
-    struct IntervalCost
-    {
-        double time_ns;
-        uint64_t instructions;
-        Nanoseconds mem_stall_ns = 0.0;
-    };
     std::vector<std::vector<IntervalCost>> lane_costs(boundaries.size());
     std::vector<CacheBoundaryTiming> timings;
     timings.reserve(boundaries.size());
@@ -451,24 +401,15 @@ runCacheIntervalOracle(const AdaptiveCacheModel &model,
             cache::ExclusiveHierarchy hierarchy(model.geometry(),
                                                 boundaries[li]);
             trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-            std::unique_ptr<mem::DramBackend> backend;
-            Nanoseconds mem_now_ns = 0.0;
-            if (dram)
-                backend = std::make_unique<mem::DramBackend>(
-                    model.memConfig().dram);
+            MissClock clock(model.memConfig());
             lane_costs[li].reserve(total_intervals);
             for (uint64_t interval = 0; interval < total_intervals;
                  ++interval) {
                 uint64_t want = interval < full_intervals ? interval_refs
                                                           : tail_refs;
-                uint64_t instrs = 0;
-                Nanoseconds mem_stall_ns = 0.0;
-                double time_ns = runInterval(model, hierarchy, source,
-                                             want, timings[li],
-                                             app.cache.refs_per_instr,
-                                             instrs, backend.get(),
-                                             &mem_now_ns, &mem_stall_ns);
-                lane_costs[li].push_back({time_ns, instrs, mem_stall_ns});
+                lane_costs[li].push_back(
+                    runInterval(model, hierarchy, source, want, timings[li],
+                                app.cache.refs_per_instr, clock));
             }
             if (sinks.progress)
                 sinks.progress->noteCellDone(currentWorkerId(), 0);

@@ -1,7 +1,5 @@
 #include "latency_adaptive.h"
 
-#include <cmath>
-
 #include "cache/exclusive_hierarchy.h"
 #include "trace/stream.h"
 #include "util/status.h"
@@ -28,16 +26,13 @@ LatencyAdaptiveCache::timing(int l1_increments) const
 
     Nanoseconds l1_access =
         model_->incrementAccessNs() + model_->busDelayNs(l1_increments);
-    t.l1_latency_cycles = static_cast<int>(
-        std::ceil(l1_access / t.cycle_ns - 1e-9));
+    t.l1_latency_cycles = static_cast<int>(missCycles(l1_access, t.cycle_ns));
 
     // L2/miss latencies are the same physical times, converted at the
     // fixed fast clock.
     CacheBoundaryTiming at_k = model_->boundaryTiming(l1_increments);
-    t.l2_hit_cycles = static_cast<Cycles>(std::ceil(
-        static_cast<double>(at_k.l2_hit_cycles) * at_k.cycle_ns /
-            t.cycle_ns -
-        1e-9));
+    t.l2_hit_cycles = missCycles(
+        static_cast<double>(at_k.l2_hit_cycles) * at_k.cycle_ns, t.cycle_ns);
     t.miss_cycles = missCycles(CacheMachine::kL2MissNs, t.cycle_ns);
     return t;
 }
@@ -51,37 +46,14 @@ LatencyAdaptiveCache::evaluate(const trace::AppProfile &app,
 
     cache::ExclusiveHierarchy hierarchy(model_->geometry(), l1_increments);
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord record;
-    const bool dram = model_->memConfig().isDram();
-    mem::DramBackend backend(model_->memConfig().dram);
-    Nanoseconds now_ns = 0.0;
-    Nanoseconds dram_stall_ns = 0.0;
-    const Nanoseconds ref_ns =
-        t.cycle_ns / (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-    const Nanoseconds l2_hit_ns =
-        t.cycle_ns * static_cast<double>(t.l2_hit_cycles);
-    while (source.next(record)) {
-        cache::AccessOutcome outcome = hierarchy.access(record);
-        if (!dram)
-            continue;
-        now_ns += ref_ns;
-        if (outcome == cache::AccessOutcome::L2Hit) {
-            now_ns += l2_hit_ns;
-        } else if (outcome == cache::AccessOutcome::Miss) {
-            Nanoseconds stall = backend.onMiss(record.addr, now_ns);
-            now_ns += stall;
-            dram_stall_ns += stall;
-        }
-    }
+    MissClock clock(model_->memConfig());
+    clock.pace(t.cycle_ns, app.cache.refs_per_instr,
+               t.cycle_ns * static_cast<double>(t.l2_hit_cycles));
+    walkTrace(source, hierarchy, clock, refs);
     const cache::CacheStats &stats = hierarchy.stats();
 
-    CachePerf perf;
-    perf.l1_increments = l1_increments;
-    perf.refs = stats.refs;
-    perf.instructions = static_cast<uint64_t>(
-        static_cast<double>(stats.refs) / app.cache.refs_per_instr);
-    perf.l1_miss_ratio = stats.l1MissRatio();
-    perf.global_miss_ratio = stats.globalMissRatio();
+    CachePerf perf =
+        cachePerfCounts(stats, l1_increments, app.cache.refs_per_instr);
     if (perf.instructions == 0)
         return perf;
 
@@ -98,13 +70,13 @@ LatencyAdaptiveCache::evaluate(const trace::AppProfile &app,
                                 static_cast<double>(extra_latency)
                           : 0.0;
 
-    if (dram) {
+    if (clock.dram()) {
         // The miss term is the backend-measured stall instead of the
         // fixed per-miss cost; L2 hits still cost l2_hit_cycles each.
         double miss_stall_ns = t.cycle_ns *
                                    static_cast<double>(stats.l2_hits) *
                                    static_cast<double>(t.l2_hit_cycles) +
-                               dram_stall_ns;
+                               clock.takeStall();
         perf.tpi_ns =
             (t.cycle_ns * (base_cycles + latency_stalls) + miss_stall_ns) /
             instrs;

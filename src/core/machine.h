@@ -49,8 +49,9 @@ constexpr Cycles kClockSwitchPenaltyCycles = 30;
  * Cycles needed to cover a fixed latency at a given cycle time.  The
  * 1e-9 epsilon keeps exact divisions exact (30 ns at a 1.0 ns clock
  * is 30 cycles, not 31) despite floating-point representation error.
- * Every model's miss-cost conversion must go through this helper so
- * the rounding convention can never diverge between studies.
+ * Every model's ns-to-cycles latency conversion (L2 hit, miss, TLB
+ * walk, L1 access) goes through this helper so the rounding
+ * convention can never diverge between studies.
  */
 inline Cycles
 missCycles(Nanoseconds latency_ns, Nanoseconds cycle_ns)

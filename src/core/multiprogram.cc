@@ -97,11 +97,9 @@ runMultiprogram(const AdaptiveCacheModel &model,
     int previous = -1;
     uint64_t live_tasks = tasks.size();
 
-    // One shared dram backend, like the shared hierarchy: quanta
-    // inherit each other's open rows and in-flight misses.
-    const bool dram = model.memConfig().isDram();
-    mem::DramBackend backend(model.memConfig().dram);
-    Nanoseconds mem_now_ns = 0.0;
+    // One shared miss clock, like the shared hierarchy: quanta inherit
+    // each other's open rows and in-flight misses.
+    MissClock clock(model.memConfig());
 
     while (live_tasks > 0) {
         Task &task = tasks[current];
@@ -134,43 +132,19 @@ runMultiprogram(const AdaptiveCacheModel &model,
         // Run one quantum.
         uint64_t quantum = std::min(params.quantum_refs, task.remaining);
         cache::CacheStats before = hierarchy.stats();
-        trace::TraceRecord record;
         const trace::AppProfile &profile = apps[current];
-        Nanoseconds quantum_stall_ns = 0.0;
-        if (dram) {
-            const Nanoseconds ref_ns =
-                task.timing.cycle_ns /
-                (CacheMachine::kBaseIpc * profile.cache.refs_per_instr);
-            const Nanoseconds l2_hit_ns =
-                task.timing.cycle_ns *
-                static_cast<double>(task.timing.l2_hit_cycles);
-            for (uint64_t i = 0;
-                 i < quantum && task.source->next(record); ++i) {
-                cache::AccessOutcome outcome = hierarchy.access(record);
-                mem_now_ns += ref_ns;
-                if (outcome == cache::AccessOutcome::L2Hit) {
-                    mem_now_ns += l2_hit_ns;
-                } else if (outcome == cache::AccessOutcome::Miss) {
-                    Nanoseconds stall =
-                        backend.onMiss(record.addr, mem_now_ns);
-                    mem_now_ns += stall;
-                    quantum_stall_ns += stall;
-                }
-            }
-        } else {
-            for (uint64_t i = 0;
-                 i < quantum && task.source->next(record); ++i)
-                hierarchy.access(record);
-        }
+        clock.pace(task.timing, profile.cache.refs_per_instr);
+        walkTrace(*task.source, hierarchy, clock, quantum);
         cache::CacheStats delta = hierarchy.stats() - before;
         task.remaining -= quantum;
 
         CachePerf perf =
-            dram ? model.perfFromDram(delta, task.timing,
-                                      profile.cache.refs_per_instr,
-                                      quantum_stall_ns)
-                 : model.perfFromStats(delta, task.timing,
-                                       profile.cache.refs_per_instr);
+            clock.dram()
+                ? model.perfFromDram(delta, task.timing,
+                                     profile.cache.refs_per_instr,
+                                     clock.takeStall())
+                : model.perfFromStats(delta, task.timing,
+                                      profile.cache.refs_per_instr);
         task.result.refs += delta.refs;
         task.result.instructions += perf.instructions;
         task.result.time_ns +=

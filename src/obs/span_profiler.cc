@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/parallel.h"
+#include "util/status.h"
 #include "util/table.h"
 
 namespace cap::obs {
@@ -26,7 +27,7 @@ uint64_t steadyNowNs()
 
 } // namespace
 
-SpanProfiler::SpanProfiler() : lanes_(1) {}
+SpanProfiler::SpanProfiler() = default;
 
 SpanProfiler::~SpanProfiler()
 {
@@ -39,6 +40,11 @@ void SpanProfiler::arm()
 {
     if (armed_)
         return;
+    // Every lane exists before the first span: pool workers look up
+    // their own lanes concurrently, so the vector must never reallocate
+    // under them.  A profiler that is never armed allocates nothing.
+    if (lanes_.empty())
+        lanes_.resize(kMaxLanes);
     epoch_ns_ = steadyNowNs();
     armed_ = true;
     g_active.store(this, std::memory_order_release);
@@ -68,12 +74,11 @@ uint64_t SpanProfiler::nowNs() const
 
 SpanProfiler::Lane &SpanProfiler::laneRef(int i)
 {
+    capAssert(!lanes_.empty(), "span on a SpanProfiler never armed");
     if (i < 0)
         i = 0;
     if (i >= kMaxLanes)
         i = kMaxLanes - 1;
-    if (static_cast<size_t>(i) >= lanes_.size())
-        lanes_.resize(static_cast<size_t>(i) + 1);
     return lanes_[static_cast<size_t>(i)];
 }
 

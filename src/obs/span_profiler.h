@@ -75,8 +75,10 @@ struct StageRow
 /**
  * Collects spans from every worker lane of a run.  arm() installs the
  * profiler as the process-wide active one (ScopedSpan finds it with a
- * relaxed atomic load); disarm() uninstalls it.  Arm and disarm only
- * from the orchestrator thread while no fan-out is in flight.
+ * relaxed atomic load); the first arm() also allocates every lane, so
+ * a worker never sees the lanes move.  disarm() uninstalls it.  Arm
+ * and disarm only from the orchestrator thread while no fan-out is in
+ * flight.
  */
 class SpanProfiler
 {
@@ -100,7 +102,8 @@ class SpanProfiler
     /** The active profiler, or nullptr (one relaxed atomic load). */
     static SpanProfiler *active();
 
-    /** Open a span on @p lane; pair with endSpan on the same thread. */
+    /** Open a span on @p lane of a profiler armed at least once; pair
+     *  with endSpan on the same thread. */
     void beginSpan(int lane, const char *name);
 
     /** Close the innermost open span of @p lane. */

@@ -113,6 +113,13 @@ serveSocket(StudyServer &server, const std::string &path,
         err << "capsim serve: socket: " << std::strerror(errno) << "\n";
         return 1;
     }
+    // Handlers go in before bind(): once the socket file exists a
+    // client or supervisor may signal us, and a stop must still drain
+    // and unlink.
+    std::signal(SIGINT, onStopSignal);
+    std::signal(SIGTERM, onStopSignal);
+    std::signal(SIGPIPE, SIG_IGN);
+
     ::unlink(path.c_str());
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
@@ -124,10 +131,6 @@ serveSocket(StudyServer &server, const std::string &path,
         ::close(listen_fd);
         return 1;
     }
-
-    std::signal(SIGINT, onStopSignal);
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGPIPE, SIG_IGN);
 
     std::vector<std::pair<std::thread, int>> sessions;
     while (!g_stop && !server.shuttingDown()) {
@@ -153,11 +156,14 @@ serveSocket(StudyServer &server, const std::string &path,
     }
 
     // Drain queued work before tearing sessions down, so clients with
-    // jobs in flight still receive their result events.
+    // jobs in flight still receive their result events.  Shutting down
+    // only the read side ends each session's request loop but leaves
+    // its replies writable: the session that asked for the shutdown
+    // may still be sending its "bye".
     server.shutdown();
     server.drain();
     for (auto &[thread, fd] : sessions) {
-        ::shutdown(fd, SHUT_RDWR);
+        ::shutdown(fd, SHUT_RD);
         thread.join();
         ::close(fd);
     }
@@ -376,10 +382,14 @@ runClient(const ClientOptions &options, std::ostream &out,
             return event.stringOr("event") == "stats";
         });
 
-    if (options.request_shutdown && client.sendLine("{\"op\":\"shutdown\"}"))
-        client.readUntil([](const json::Value &event) {
-            return event.stringOr("event") == "bye";
-        });
+    if (options.request_shutdown &&
+        !(client.sendLine("{\"op\":\"shutdown\"}") &&
+          client.readUntil([](const json::Value &event) {
+              return event.stringOr("event") == "bye";
+          }))) {
+        err << "capsim client: shutdown not confirmed (no bye)\n";
+        exit_code = 1;
+    }
 
     ::close(fd);
     return exit_code;

@@ -44,7 +44,8 @@ struct ClientOptions
     std::string study_path;
     /** When non-empty, append every received protocol line here. */
     std::string events_path;
-    /** Send a shutdown op (stopping the daemon) after the study. */
+    /** Send a shutdown op (stopping the daemon) after the study;
+     *  the client fails unless the daemon answers "bye". */
     bool request_shutdown = false;
 };
 
@@ -53,7 +54,8 @@ struct ClientOptions
  * and print the concatenated job outputs to @p out -- byte-identical
  * to running the offline verbs in file order.  A stats request is
  * issued after the last job (visible in the events file).  Returns 0
- * when every job succeeded, 1 on any failure.
+ * when every job succeeded (and a requested shutdown was confirmed),
+ * 1 on any failure.
  */
 int runClient(const ClientOptions &options, std::ostream &out,
               std::ostream &err);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -704,6 +705,34 @@ TEST(HostProfileTest, WorkerLanesRecordIndependentlyUnderParallelFor)
         else
             EXPECT_EQ(row.name, "test.fanout");
     }
+}
+
+TEST(HostProfileTest, FreshWorkerLanesRecordConcurrentlyWithoutReservation)
+{
+    // Every worker opens its first span on a lane no one has touched,
+    // all at once, with nothing reserved from this thread: a lane must
+    // never move while another worker records into its own (TSan
+    // checks the race in CI).
+    obs::SpanProfiler profiler;
+    profiler.arm();
+    constexpr int kWorkers = 8;
+    constexpr size_t kSpansPerWorker = 200;
+    std::atomic<int> arrived{0};
+    ThreadPool pool(kWorkers);
+    parallelFor(pool, kWorkers, [&](size_t) {
+        arrived.fetch_add(1);
+        while (arrived.load() < kWorkers)
+            std::this_thread::yield();
+        for (size_t i = 0; i < kSpansPerWorker; ++i) {
+            CAPSIM_SPAN("test.burst");
+        }
+    });
+    profiler.disarm();
+
+    EXPECT_EQ(profiler.spanCount(), kWorkers * kSpansPerWorker);
+    EXPECT_EQ(profiler.laneCount(), kWorkers);
+    for (int l = 0; l < kWorkers; ++l)
+        EXPECT_EQ(profiler.lane(l).size(), kSpansPerWorker) << "lane " << l;
 }
 
 TEST(HostProfileTest, ChromeTraceHasWorkerLanesAndNestedSpans)

@@ -7,6 +7,7 @@
  * clients (the Serve* suites run under TSan in CI).
  */
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -19,6 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -1007,6 +1014,209 @@ TEST(ServeTransportTest, SocketClientReassemblesOfflineBytes)
     std::remove(socket_path.c_str());
     std::remove(study_path.c_str());
     std::remove(events_path.c_str());
+}
+
+
+/** Wait (spinning, to react as early as possible) for @p path to
+ *  exist; false after about ten seconds. */
+bool
+waitForSocketFile(const std::string &path)
+{
+    auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (::access(path.c_str(), F_OK) != 0) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+/** Connect to the unix socket at @p path, retrying through the
+ *  bind -> listen window up to @p attempts times; -1 on failure. */
+int
+connectUnix(const std::string &path, int attempts = 1000)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd < 0)
+            return -1;
+        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)) == 0)
+            return fd;
+        ::close(fd);
+        std::this_thread::sleep_for(1ms);
+    }
+    return -1;
+}
+
+/** Everything readable from @p fd until the peer closes it. */
+std::string
+readToEof(int fd)
+{
+    std::string data;
+    char chunk[4096];
+    for (;;) {
+        ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return data;
+        data.append(chunk, static_cast<size_t>(n));
+    }
+}
+
+TEST(ServeTransportTest, ImmediateShutdownsAlwaysGetBye)
+{
+    // A second client connecting while the first one's shutdown drains
+    // wakes the accept loop into its own teardown, racing the bye; the
+    // requester must get its bye every time.
+    for (int round = 0; round < 20; ++round) {
+        std::string socket_path = "/tmp/capsim_bye_" +
+                                  std::to_string(::getpid()) + "_" +
+                                  std::to_string(round) + ".sock";
+        std::remove(socket_path.c_str());
+        serve::StudyServer server(smallConfig());
+        std::ostringstream server_err;
+        int served = -1;
+        std::thread daemon([&] {
+            served = serve::serveSocket(server, socket_path, server_err);
+        });
+        int fd = waitForSocketFile(socket_path) ? connectUnix(socket_path)
+                                                 : -1;
+        std::string replies;
+        if (fd >= 0) {
+            const std::string request = "{\"op\":\"shutdown\"}\n";
+            ssize_t sent = ::write(fd, request.data(), request.size());
+            EXPECT_EQ(sent, static_cast<ssize_t>(request.size()));
+            int bystander = connectUnix(socket_path, 1);
+            replies = readToEof(fd);
+            ::close(fd);
+            if (bystander >= 0)
+                ::close(bystander);
+        } else {
+            server.shutdown(); // let the daemon thread end
+        }
+        daemon.join();
+        ASSERT_GE(fd, 0) << "round " << round << ": " << server_err.str();
+        EXPECT_EQ(served, 0) << server_err.str();
+        EXPECT_EQ(replies, "{\"event\":\"bye\"}\n") << "round " << round;
+        EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
+    }
+}
+
+TEST(ServeTransportTest, ClientShutdownFailsWithoutBye)
+{
+    // A stand-in daemon that completes one job and answers stats but
+    // closes on shutdown without a bye: the client must report it.
+    std::string socket_path =
+        "/tmp/capsim_nobye_" + std::to_string(::getpid()) + ".sock";
+    std::string study_path = tempPath("nobye_study");
+    std::remove(socket_path.c_str());
+    {
+        std::ofstream study(study_path);
+        study << "{\"kind\":\"cache-sweep\",\"apps\":\"li\"}\n";
+    }
+    int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listen_fd, 1), 0);
+    std::thread fake([listen_fd] {
+        int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        auto reply = [fd](const std::string &lines) {
+            ssize_t written = ::write(fd, lines.data(), lines.size());
+            (void)written;
+        };
+        std::string buffer;
+        char chunk[4096];
+        bool open = true;
+        while (open) {
+            ssize_t n = ::read(fd, chunk, sizeof chunk);
+            if (n <= 0)
+                break;
+            buffer.append(chunk, static_cast<size_t>(n));
+            size_t pos;
+            while (open && (pos = buffer.find('\n')) != std::string::npos) {
+                std::string op = parsed(buffer.substr(0, pos)).stringOr("op");
+                buffer.erase(0, pos + 1);
+                if (op == "submit")
+                    reply("{\"event\":\"ack\",\"id\":1}\n"
+                          "{\"event\":\"result\",\"id\":1,"
+                          "\"status\":\"ok\",\"output\":\"row\\n\"}\n");
+                else if (op == "stats")
+                    reply("{\"event\":\"stats\"}\n");
+                else
+                    open = false; // shutdown: hang up without a bye
+            }
+        }
+        ::close(fd);
+    });
+
+    serve::ClientOptions copts;
+    copts.socket_path = socket_path;
+    copts.study_path = study_path;
+    copts.request_shutdown = true;
+    std::ostringstream out, err;
+    EXPECT_EQ(serve::runClient(copts, out, err), 1);
+    EXPECT_EQ(out.str(), "row\n");
+    EXPECT_NE(err.str().find("no bye"), std::string::npos) << err.str();
+    fake.join();
+    ::close(listen_fd);
+    std::remove(socket_path.c_str());
+    std::remove(study_path.c_str());
+}
+
+TEST(ServeTransportTest, SigtermRightAfterTheSocketAppearsExitsCleanly)
+{
+    // The daemon process must handle SIGTERM from the moment its socket
+    // file exists: drain, unlink the socket and exit 0.
+    for (int round = 0; round < 10; ++round) {
+        std::string socket_path = "/tmp/capsim_term_" +
+                                  std::to_string(::getpid()) + "_" +
+                                  std::to_string(round) + ".sock";
+        std::remove(socket_path.c_str());
+        std::vector<std::string> args = {CAPSIM_BINARY, "serve", "--socket",
+                                         socket_path, "--jobs", "1"};
+        std::vector<char *> argv;
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        argv.push_back(nullptr);
+        posix_spawn_file_actions_t actions;
+        posix_spawn_file_actions_init(&actions);
+        posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
+                                         "/dev/null", O_WRONLY, 0);
+        posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
+                                         "/dev/null", O_WRONLY, 0);
+        pid_t pid = 0;
+        int spawned = posix_spawn(&pid, CAPSIM_BINARY, &actions, nullptr,
+                                  argv.data(), environ);
+        posix_spawn_file_actions_destroy(&actions);
+        ASSERT_EQ(spawned, 0) << std::strerror(spawned);
+
+        bool appeared = waitForSocketFile(socket_path);
+        ::kill(pid, SIGTERM);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        bool left_behind = ::access(socket_path.c_str(), F_OK) == 0;
+        std::remove(socket_path.c_str());
+        ASSERT_TRUE(appeared) << "round " << round;
+        ASSERT_TRUE(WIFEXITED(status))
+            << "round " << round << ": killed by signal "
+            << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+        EXPECT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+        EXPECT_FALSE(left_behind)
+            << "round " << round << ": socket file left behind";
+    }
 }
 
 } // namespace
