@@ -4,8 +4,9 @@
  *
  * Runs the paper's static cache study twice -- once with a dedicated
  * ExclusiveHierarchy per L1/L2 boundary (the pre-one-pass behaviour)
- * and once with the single-pass stack-distance engine (docs/PERF.md)
- * -- then does the same for the static instruction-queue study (one
+ * and once with the single-pass stack-distance engine (docs/PERF.md),
+ * under the flat miss edge and again under --mem=dram -- then does
+ * the same for the static instruction-queue study (one
  * CoreModel per queue size vs the one-pass ooo::WindowSweeper).  Each
  * lane checks the two modes produce bit-identical results and reports
  * wall-clock, delivered work per second, and the speedup ratio.
@@ -27,8 +28,8 @@
  *   --json PATH      machine-readable result (default BENCH_sweep.json)
  *   --baseline PATH  fail (exit 1) when a measured speedup falls
  *                    below 80% of the baseline's "speedup" /
- *                    "iq_speedup" / "oracle_iq_speedup" /
- *                    "oracle_cache_speedup" value
+ *                    "dram_speedup" / "iq_speedup" /
+ *                    "oracle_iq_speedup" / "oracle_cache_speedup" value
  */
 
 #include <chrono>
@@ -213,9 +214,9 @@ main(int argc, char **argv)
     emit(table);
 
     // ---- Memory backends: --mem=flat must be free (bit-identical to
-    // the default-constructed model), and the dram walk's bank/MSHR
-    // bookkeeping must stay cheap -- under 2x the flat per-config
-    // lane it extends. ----
+    // the default-constructed model); under dram the one-pass sweep
+    // must match per-config bit for bit, and its per-boundary clocks
+    // must stay cheap -- under 2x the flat one-pass sweep. ----
     core::AdaptiveCacheModel flat_model;
     {
         mem::MemConfig flat_config;
@@ -254,29 +255,47 @@ main(int argc, char **argv)
         }
         dram_model.setMemConfig(dram_config);
     }
-    core::CacheStudy dram_study =
+    core::CacheStudy dram_per_config =
+        core::runCacheStudy(dram_model, apps, refs, 8, jobs, {}, false);
+    core::CacheStudy dram_one_pass =
         core::runCacheStudy(dram_model, apps, refs, 8, jobs, {}, true);
-    const double dram_s = dram_study.telemetry.wall_seconds;
+    for (size_t a = 0; a < apps.size(); ++a) {
+        for (size_t c = 0; c < dram_per_config.perf[a].size(); ++c) {
+            const core::CachePerf &slow = dram_per_config.perf[a][c];
+            const core::CachePerf &fast = dram_one_pass.perf[a][c];
+            if (slow.tpi_ns != fast.tpi_ns ||
+                slow.tpi_miss_ns != fast.tpi_miss_ns ||
+                slow.l1_miss_ratio != fast.l1_miss_ratio ||
+                slow.instructions != fast.instructions) {
+                std::cerr << "perf_smoke: dram one-pass result diverges "
+                             "from per-config at "
+                          << apps[a].name << " config " << c << "\n";
+                return 1;
+            }
+        }
+    }
     const double flat_lane_s = explicit_flat.telemetry.wall_seconds;
-    const double dram_overhead =
-        flat_lane_s > 0.0 ? dram_s / flat_lane_s : 0.0;
+    const double dram_slow_s = dram_per_config.telemetry.wall_seconds;
+    const double dram_s = dram_one_pass.telemetry.wall_seconds;
+    const double dram_speedup = dram_s > 0.0 ? dram_slow_s / dram_s : 0.0;
+    const double dram_overhead = fast_s > 0.0 ? dram_s / fast_s : 0.0;
 
     std::cout << "\n";
-    TableWriter mem_table("miss backends, per-config lanes (" +
-                          std::to_string(refs) + " refs x " +
-                          std::to_string(apps.size()) +
+    TableWriter mem_table("miss backends (" + std::to_string(refs) +
+                          " refs x " + std::to_string(apps.size()) +
                           " apps x 8 boundaries)");
-    mem_table.setHeader({"backend", "wall_s", "overhead_x"});
-    mem_table.addRow(
-        {Cell("flat"), Cell(flat_lane_s, 3), Cell(1.0, 2)});
-    mem_table.addRow(
-        {Cell("dram"), Cell(dram_s, 3), Cell(dram_overhead, 2)});
+    mem_table.setHeader(
+        {"backend", "per_config_s", "onepass_s", "speedup", "overhead_x"});
+    mem_table.addRow({Cell("flat"), Cell(slow_s, 3), Cell(fast_s, 3),
+                      Cell(speedup, 2), Cell(1.0, 2)});
+    mem_table.addRow({Cell("dram"), Cell(dram_slow_s, 3), Cell(dram_s, 3),
+                      Cell(dram_speedup, 2), Cell(dram_overhead, 2)});
     emit(mem_table);
 
     if (dram_overhead >= 2.0) {
-        std::cerr << "perf_smoke: dram walk costs "
+        std::cerr << "perf_smoke: dram one-pass sweep costs "
                   << Cell(dram_overhead, 2).str()
-                  << "x the flat lane (gate: 2x)\n";
+                  << "x the flat one-pass sweep (gate: 2x)\n";
         return 1;
     }
 
@@ -514,9 +533,10 @@ main(int argc, char **argv)
     cost_profiler.disarm();
 
     const double study_wall_s =
-        slow_s + fast_s + flat_lane_s + dram_s + iq_slow_s + iq_fast_s +
-        oracle_iq_slow_s + oracle_iq_fast_s + oracle_cache_slow_s +
-        oracle_cache_fast_s + serve_cold_s + serve_warm_s;
+        slow_s + fast_s + flat_lane_s + dram_slow_s + dram_s + iq_slow_s +
+        iq_fast_s + oracle_iq_slow_s + oracle_iq_fast_s +
+        oracle_cache_slow_s + oracle_cache_fast_s + serve_cold_s +
+        serve_warm_s;
     const double overhead_pct =
         study_wall_s > 0.0
             ? 100.0 * static_cast<double>(study_spans) * disarmed_ns /
@@ -564,7 +584,12 @@ main(int argc, char **argv)
             << "  \"speedup\": " << Cell(speedup, 3).str() << ",\n"
             << "  \"flat_lane_seconds\": " << Cell(flat_lane_s, 6).str()
             << ",\n"
-            << "  \"dram_seconds\": " << Cell(dram_s, 6).str() << ",\n"
+            << "  \"dram_per_config_seconds\": "
+            << Cell(dram_slow_s, 6).str() << ",\n"
+            << "  \"dram_onepass_seconds\": " << Cell(dram_s, 6).str()
+            << ",\n"
+            << "  \"dram_speedup\": " << Cell(dram_speedup, 3).str()
+            << ",\n"
             << "  \"dram_overhead_x\": " << Cell(dram_overhead, 3).str()
             << ",\n"
             << "  \"instrs\": " << instrs << ",\n"
@@ -618,6 +643,9 @@ main(int argc, char **argv)
     if (!baseline_path.empty()) {
         if (int rc = gateAgainstBaseline(baseline_path, "speedup",
                                          speedup))
+            return rc;
+        if (int rc = gateAgainstBaseline(baseline_path, "dram_speedup",
+                                         dram_speedup))
             return rc;
         if (int rc = gateAgainstBaseline(baseline_path, "iq_speedup",
                                          iq_speedup))

@@ -12,6 +12,8 @@ StackSimulator::StackSimulator(const HierarchyGeometry &geometry)
 {
     geometry_.validate();
     total_ways_ = geometry_.totalWays();
+    capAssert(total_ways_ < kMissDepth,
+              "%d ways overflow the stack depth type", total_ways_);
     // Entries pack the dirty bit into bit 0, so the tag must fit in 63
     // bits: tag = addr / (block_bytes * sets) needs block*sets >= 2.
     capAssert(static_cast<uint64_t>(geometry_.block_bytes) *
@@ -42,7 +44,7 @@ StackSimulator::access(const trace::TraceRecord &record)
 
 void
 StackSimulator::accessBatch(const trace::TraceRecord *records,
-                            uint64_t count)
+                            uint64_t count, StackDepth *depths)
 {
     const int total = total_ways_;
     refs_ += count;
@@ -68,6 +70,8 @@ StackSimulator::accessBatch(const trace::TraceRecord *records,
             // l1Ways exceeds it, L2 otherwise.  Move to front,
             // accumulating dirtiness.
             ++depth_hist_[static_cast<size_t>(depth)];
+            if (depths)
+                depths[r] = static_cast<StackDepth>(depth);
             uint64_t entry = stack[depth] | dirty;
             std::memmove(stack + 1, stack,
                          static_cast<size_t>(depth) * sizeof(uint64_t));
@@ -79,6 +83,8 @@ StackSimulator::accessBatch(const trace::TraceRecord *records,
         // (recency depth total-1) -- the same victim, and the same
         // writeback decision, for every boundary placement.
         ++misses_;
+        if (depths)
+            depths[r] = kMissDepth;
         if (size == total) {
             writebacks_ += stack[total - 1] & 1;
             std::memmove(stack + 1, stack,
@@ -87,7 +93,7 @@ StackSimulator::accessBatch(const trace::TraceRecord *records,
         } else {
             std::memmove(stack + 1, stack,
                          static_cast<size_t>(size) * sizeof(uint64_t));
-            sizes_[index] = static_cast<uint16_t>(size + 1);
+            sizes_[index] = static_cast<StackDepth>(size + 1);
         }
         stack[0] = (tag << 1) | dirty;
     }

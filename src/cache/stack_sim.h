@@ -43,6 +43,7 @@
 #define CAPSIM_CACHE_STACK_SIM_H
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -51,6 +52,33 @@
 #include "trace/record.h"
 
 namespace cap::cache {
+
+/**
+ * A recency position within one set's stack, and a stack's size.  The
+ * StackSimulator constructor asserts totalWays() < kMissDepth, so
+ * every hit depth (< totalWays()) fits and never equals the miss
+ * marker.
+ */
+using StackDepth = uint16_t;
+
+/** The depth StackSimulator::accessBatch() reports for a reference
+ *  whose block was absent from the pool. */
+inline constexpr StackDepth kMissDepth =
+    std::numeric_limits<StackDepth>::max();
+
+/**
+ * Where a static hierarchy with @p l1_ways L1 ways services a
+ * reference the stack found at @p depth: an L1 hit above the
+ * boundary, an L2 hit below it, a miss at every boundary when the
+ * block was absent (docs/PERF.md section 2).
+ */
+inline AccessOutcome
+outcomeAtDepth(StackDepth depth, int l1_ways)
+{
+    if (depth == kMissDepth)
+        return AccessOutcome::Miss;
+    return depth < l1_ways ? AccessOutcome::L1Hit : AccessOutcome::L2Hit;
+}
 
 /**
  * The single-pass engine: per-set LRU stacks over the full increment
@@ -67,8 +95,14 @@ class StackSimulator
     /** Record one reference into the stacks. */
     void access(const trace::TraceRecord &record);
 
-    /** Record a batch of references (amortizes the call overhead). */
-    void accessBatch(const trace::TraceRecord *records, uint64_t count);
+    /**
+     * Record a batch of references (amortizes the call overhead).
+     * When @p depths is given, depths[i] receives reference i's
+     * recency depth, or kMissDepth when its block was absent --
+     * enough for outcomeAtDepth() to classify it at every boundary.
+     */
+    void accessBatch(const trace::TraceRecord *records, uint64_t count,
+                     StackDepth *depths = nullptr);
 
     /** References recorded so far. */
     uint64_t refs() const { return refs_; }
@@ -93,7 +127,7 @@ class StackSimulator
      *  (tag << 1) | dirty.  Flat [set * total_ways + depth]. */
     std::vector<uint64_t> entries_;
     /** Valid entries per set. */
-    std::vector<uint16_t> sizes_;
+    std::vector<StackDepth> sizes_;
     /** depth_hist_[d] = hits whose block sat at recency depth d. */
     std::vector<uint64_t> depth_hist_;
     uint64_t refs_ = 0;

@@ -1,8 +1,8 @@
 #include "adaptive_cache.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "cache/stack_sim.h"
 #include "timing/area.h"
 #include "trace/stream.h"
 #include "util/status.h"
@@ -107,6 +107,34 @@ MissClock::foldCounters(obs::CounterRegistry &registry) const
     registry.counter("mshr.full_stalls").add(mshr.full_stalls);
     registry.counter("mshr.stall_ns")
         .add(static_cast<uint64_t>(mshr.stall_ns));
+}
+
+void
+walkStack(trace::TraceSource &source, cache::StackSimulator &stack,
+          std::vector<StackLane> &lanes, uint64_t refs)
+{
+    const bool timed =
+        std::any_of(lanes.begin(), lanes.end(),
+                    [](const StackLane &lane) { return lane.clock.dram(); });
+    trace::TraceRecord batch[trace::kTraceBatch];
+    cache::StackDepth depths[trace::kTraceBatch];
+    for (uint64_t left = refs; left > 0;) {
+        uint64_t n = source.nextBatch(
+            batch, std::min<uint64_t>(left, trace::kTraceBatch));
+        if (n == 0)
+            break;
+        stack.accessBatch(batch, n, timed ? depths : nullptr);
+        if (timed) {
+            // Lanes share nothing, so each may take the batch whole.
+            for (StackLane &lane : lanes) {
+                for (uint64_t i = 0; i < n; ++i)
+                    lane.clock.charge(
+                        cache::outcomeAtDepth(depths[i], lane.l1_ways),
+                        batch[i].addr);
+            }
+        }
+        left -= n;
+    }
 }
 
 AdaptiveCacheModel::AdaptiveCacheModel(
@@ -293,40 +321,34 @@ AdaptiveCacheModel::sweepOnePassObserved(
               max_l1_increments < geometry_.increments,
               "sweep bound out of range");
 
-    if (mem_.isDram()) {
-        // Stack distances cannot price a dram miss: its cost depends
-        // on the address order (row locality, bank overlap), which
-        // the depth histogram discards.  Fall back to the per-config
-        // lane engine -- exactness over speed (docs/PERF.md).
-        std::vector<CachePerf> results;
-        results.reserve(static_cast<size_t>(max_l1_increments));
-        for (int k = 1; k <= max_l1_increments; ++k)
-            results.push_back(
-                evaluateObserved(app, k, refs, trace, registry));
-        if (registry)
-            registry->counter("stacksim.dram_fallbacks").add(1);
-        return results;
+    std::vector<CacheBoundaryTiming> timings;
+    std::vector<StackLane> lanes;
+    timings.reserve(static_cast<size_t>(max_l1_increments));
+    lanes.reserve(static_cast<size_t>(max_l1_increments));
+    for (int k = 1; k <= max_l1_increments; ++k) {
+        timings.push_back(boundaryTiming(k));
+        lanes.push_back({geometry_.l1Ways(k), MissClock(mem_)});
+        lanes.back().clock.pace(timings.back(), app.cache.refs_per_instr);
     }
-
     cache::StackSimulator stack(geometry_);
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord batch[trace::kTraceBatch];
-    for (;;) {
-        uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
-        if (n == 0)
-            break;
-        stack.accessBatch(batch, n);
-    }
+    walkStack(source, stack, lanes, refs);
 
     std::vector<CachePerf> results;
     results.reserve(static_cast<size_t>(max_l1_increments));
     for (int k = 1; k <= max_l1_increments; ++k) {
-        CacheBoundaryTiming timing = boundaryTiming(k);
+        const CacheBoundaryTiming &timing = timings[k - 1];
+        MissClock &clock = lanes[k - 1].clock;
         cache::CacheStats stats = stack.statsFor(k);
         CachePerf perf =
-            perfFromStats(stats, timing, app.cache.refs_per_instr);
-        if (registry)
+            clock.dram()
+                ? perfFromDram(stats, timing, app.cache.refs_per_instr,
+                               clock.takeStall())
+                : perfFromStats(stats, timing, app.cache.refs_per_instr);
+        if (registry) {
             foldCacheCounters(*registry, stats);
+            clock.foldCounters(*registry);
+        }
         if (trace)
             trace->add(cellEvent(app, timing, perf));
         results.push_back(perf);

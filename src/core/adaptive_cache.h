@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cache/exclusive_hierarchy.h"
+#include "cache/stack_sim.h"
 #include "core/machine.h"
 #include "mem/mem_model.h"
 #include "obs/decision_trace.h"
@@ -173,6 +174,28 @@ walkTrace(trace::TraceSource &source, cache::ExclusiveHierarchy &hierarchy,
     }
 }
 
+/** One boundary of a stack walk: the L1 ways that split its hits
+ *  from its L2 hits, and the clock its static hierarchy would drive. */
+struct StackLane
+{
+    int l1_ways;
+    MissClock clock;
+};
+
+/**
+ * walkTrace()'s stack-side counterpart: up to @p refs references of
+ * @p source through @p stack, each charged to every lane's clock with
+ * the outcome the lane's boundary sees at the reference's stack depth
+ * (cache::outcomeAtDepth).  A static hierarchy's outcome is a function
+ * of that depth (docs/PERF.md section 2), so each lane makes exactly
+ * the adds and DramBackend::onMiss calls walkTrace() would make on
+ * its own hierarchy, in the same order, and accrues the same stall
+ * bit for bit.  When no lane prices misses on DRAM (flat), the walk
+ * records no depths and charges nothing.
+ */
+void walkStack(trace::TraceSource &source, cache::StackSimulator &stack,
+               std::vector<StackLane> &lanes, uint64_t refs);
+
 /**
  * Binds geometry, timing and the exclusive-hierarchy simulator into
  * the adaptive cache CAS.
@@ -244,7 +267,8 @@ class AdaptiveCacheModel
     /**
      * One-pass counterpart of sweep(): a single stack-distance pass
      * over the trace (cache::StackSimulator) scores every boundary in
-     * [1, max_l1_increments] at once.  Bit-identical to sweep() --
+     * [1, max_l1_increments] at once, under dram with one MissClock
+     * lane per boundary (walkStack).  Bit-identical to sweep() --
      * the reconstruction is exact, not approximate (docs/PERF.md) --
      * at ~1/max_l1_increments the simulation cost.
      */
@@ -254,11 +278,12 @@ class AdaptiveCacheModel
 
     /**
      * As sweepOnePass(), recording observability: per-boundary Cell
-     * trace records and `cache.*` counters identical to what
-     * evaluateObserved() would emit for each boundary (except the
-     * `cache.service_way` histogram, whose physical-way breakdown is
-     * path-dependent and not reconstructible from stack depths), plus
-     * `stacksim.*` counters describing the one-pass run itself.
+     * trace records and `cache.*` (plus, under dram, `dram.*` and
+     * `mshr.*`) counters identical to what evaluateObserved() would
+     * emit for each boundary (except the `cache.service_way`
+     * histogram, whose physical-way breakdown is path-dependent and
+     * not reconstructible from stack depths), plus `stacksim.*`
+     * counters describing the one-pass run itself.
      */
     std::vector<CachePerf>
     sweepOnePassObserved(const trace::AppProfile &app,

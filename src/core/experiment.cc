@@ -151,11 +151,6 @@ runCacheStudy(const AdaptiveCacheModel &model,
 {
     capAssert(!apps.empty(), "cache study needs applications");
     CAPSIM_SPAN("study.cache");
-    // Dram miss cost is address-order dependent, which stack distances
-    // cannot reconstruct; run the per-config lane engine so the study
-    // fans (app, boundary) cells across jobs (docs/PERF.md).
-    if (model.memConfig().isDram())
-        one_pass = false;
     CacheStudy study;
     study.apps = apps;
     for (int k = 1; k <= max_l1_increments; ++k)

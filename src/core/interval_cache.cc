@@ -22,6 +22,23 @@ struct IntervalCost
     Nanoseconds mem_stall_ns = 0.0;
 };
 
+/** Price one interval's stats @p delta at @p timing, taking the miss
+ *  stall @p clock accrued over it. */
+IntervalCost
+priceInterval(const AdaptiveCacheModel &model,
+              const cache::CacheStats &delta,
+              const CacheBoundaryTiming &timing, double refs_per_instr,
+              MissClock &clock)
+{
+    Nanoseconds stall = clock.takeStall();
+    CachePerf perf =
+        clock.dram()
+            ? model.perfFromDram(delta, timing, refs_per_instr, stall)
+            : model.perfFromStats(delta, timing, refs_per_instr);
+    return {perf.tpi_ns * static_cast<double>(perf.instructions),
+            perf.instructions, stall};
+}
+
 /** Run one interval of @p interval_refs on a live hierarchy, pricing
  *  misses on @p clock (its DRAM state and time carry across
  *  intervals). */
@@ -35,14 +52,8 @@ runInterval(const AdaptiveCacheModel &model,
     cache::CacheStats before = hierarchy.stats();
     clock.pace(timing, refs_per_instr);
     walkTrace(source, hierarchy, clock, interval_refs);
-    cache::CacheStats delta = hierarchy.stats() - before;
-    Nanoseconds stall = clock.takeStall();
-    CachePerf perf =
-        clock.dram()
-            ? model.perfFromDram(delta, timing, refs_per_instr, stall)
-            : model.perfFromStats(delta, timing, refs_per_instr);
-    return {perf.tpi_ns * static_cast<double>(perf.instructions),
-            perf.instructions, stall};
+    return priceInterval(model, hierarchy.stats() - before, timing,
+                         refs_per_instr, clock);
 }
 
 /** Credit one interval run at @p boundary to a controller's
@@ -326,11 +337,6 @@ runCacheIntervalOracle(const AdaptiveCacheModel &model,
 
     obs::Hooks sinks = obs::effectiveHooks(hooks);
 
-    // Stack distances cannot price a dram miss (the cost depends on
-    // address order, which the depth histogram discards), so dram
-    // mode always runs the per-boundary lane engine (docs/PERF.md).
-    one_pass = one_pass && !model.memConfig().isDram();
-
     uint64_t full_intervals = refs / interval_refs;
     uint64_t tail_refs = refs % interval_refs;
     uint64_t total_intervals = full_intervals + (tail_refs ? 1 : 0);
@@ -348,38 +354,34 @@ runCacheIntervalOracle(const AdaptiveCacheModel &model,
         // is an exact cumulative reconstruction at any point of the
         // walk, so the delta between consecutive interval-boundary
         // reconstructions equals the interval's stats delta on a
-        // dedicated static hierarchy bit for bit -- the same CacheStats
-        // runInterval() feeds perfFromStats() in the lane engine.
+        // dedicated static hierarchy bit for bit, and each candidate's
+        // MissClock lane accrues that hierarchy's stall (walkStack) --
+        // the same inputs runInterval() prices in the lane engine.
         CAPSIM_SPAN("oracle.onepass");
         if (sinks.progress)
             sinks.progress->beginRun("cache-interval-oracle", 1, 1);
         trace::SyntheticTraceSource source(app.cache, app.seed, refs);
         cache::StackSimulator stack(model.geometry());
-        std::vector<cache::CacheStats> previous_cum(boundaries.size());
-        trace::TraceRecord batch[trace::kTraceBatch];
-        for (size_t li = 0; li < boundaries.size(); ++li)
+        std::vector<StackLane> lanes;
+        lanes.reserve(boundaries.size());
+        for (size_t li = 0; li < boundaries.size(); ++li) {
+            lanes.push_back({model.geometry().l1Ways(boundaries[li]),
+                             MissClock(model.memConfig())});
+            lanes.back().clock.pace(timings[li], app.cache.refs_per_instr);
             lane_costs[li].reserve(total_intervals);
+        }
+        std::vector<cache::CacheStats> previous_cum(boundaries.size());
         for (uint64_t interval = 0; interval < total_intervals;
              ++interval) {
             uint64_t want = interval < full_intervals ? interval_refs
                                                       : tail_refs;
-            for (uint64_t left = want; left > 0;) {
-                uint64_t n = source.nextBatch(
-                    batch, std::min<uint64_t>(left, trace::kTraceBatch));
-                if (n == 0)
-                    break;
-                stack.accessBatch(batch, n);
-                left -= n;
-            }
+            walkStack(source, stack, lanes, want);
             for (size_t li = 0; li < boundaries.size(); ++li) {
                 cache::CacheStats cum = stack.statsFor(boundaries[li]);
-                cache::CacheStats delta = cum - previous_cum[li];
+                lane_costs[li].push_back(priceInterval(
+                    model, cum - previous_cum[li], timings[li],
+                    app.cache.refs_per_instr, lanes[li].clock));
                 previous_cum[li] = cum;
-                CachePerf perf = model.perfFromStats(
-                    delta, timings[li], app.cache.refs_per_instr);
-                lane_costs[li].push_back(
-                    {perf.tpi_ns * static_cast<double>(perf.instructions),
-                     perf.instructions});
             }
         }
         if (sinks.progress) {

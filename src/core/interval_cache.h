@@ -94,11 +94,12 @@ class IntervalAdaptiveCache
  * boundary: the cumulative stats reconstruction statsFor(k) is exact
  * at *any* point of the walk, so per-interval deltas of consecutive
  * reconstructions equal the per-interval stats deltas of a dedicated
- * static hierarchy bit for bit, and the winner reduction -- shared
- * with the lane engine -- produces identical results in
- * O(refs + intervals * ways) instead of O(boundaries * refs)
- * (docs/PERF.md).  The walk is serial; callers scale across
- * applications instead.
+ * static hierarchy bit for bit; under dram each boundary's MissClock
+ * lane (walkStack) accrues that hierarchy's per-interval stall too.
+ * The winner reduction -- shared with the lane engine -- then
+ * produces identical results in O(refs + intervals * ways) instead of
+ * O(boundaries * refs) hierarchy work (docs/PERF.md).  The walk is
+ * serial; callers scale across applications instead.
  *
  * With @p one_pass off, each boundary replays the trace on its own
  * ExclusiveHierarchy, fanned across @p jobs worker threads; results

@@ -99,6 +99,8 @@ class ZipfResident : public Pattern
     Region region_;
     uint64_t block_bytes_;
     double s_;
+    /** Rng::zipfNorm over the region's blocks, fixed per pattern. */
+    double zipf_norm_;
     std::vector<uint32_t> shuffle_;
 };
 

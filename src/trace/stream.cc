@@ -42,6 +42,7 @@ SyntheticTraceSource::SyntheticTraceSource(const CacheBehavior &behavior,
         capAssert(!mix.empty(), "profile has an empty reference mix");
         Phase phase;
         phase.length_refs = length_refs;
+        std::vector<double> weights;
         for (const PatternSpec &spec : mix) {
             capAssert(spec.region_bytes >= kBlockBytes,
                       "component region smaller than a block");
@@ -50,8 +51,10 @@ SyntheticTraceSource::SyntheticTraceSource(const CacheBehavior &behavior,
                          kRegionAlignment;
             phase.patterns.push_back(
                 makePattern(spec, region, shuffle_rng.next()));
-            phase.weights.push_back(spec.weight);
+            weights.push_back(spec.weight);
         }
+        if (phase.patterns.size() > 1)
+            phase.weight_prefix = Rng::weightPrefix(weights);
         phases_.push_back(std::move(phase));
     };
 
@@ -119,8 +122,9 @@ SyntheticTraceSource::next(TraceRecord &record)
     if (phase_left_ == 0)
         phase_left_ = phases_[phase_].length_refs;
     Phase &phase = phases_[phase_];
-    size_t which =
-        phase.patterns.size() == 1 ? 0 : rng_.weighted(phase.weights);
+    size_t which = phase.patterns.size() == 1
+                       ? 0
+                       : rng_.weightedPrefix(phase.weight_prefix);
     record.addr = phase.patterns[which]->next(rng_);
     record.is_write = rng_.chance(write_fraction_);
     ++produced_;
@@ -154,7 +158,7 @@ SyntheticTraceSource::nextBatch(TraceRecord *out, uint64_t max)
             }
         } else {
             for (uint64_t i = 0; i < chunk; ++i, ++n) {
-                size_t which = rng_.weighted(phase.weights);
+                size_t which = rng_.weightedPrefix(phase.weight_prefix);
                 out[n].addr = phase.patterns[which]->next(rng_);
                 out[n].is_write = rng_.chance(write_fraction_);
             }

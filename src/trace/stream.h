@@ -81,7 +81,9 @@ class SyntheticTraceSource : public TraceSource
     struct Phase
     {
         std::vector<std::unique_ptr<Pattern>> patterns;
-        std::vector<double> weights;
+        /** Running sums of the patterns' weights (Rng::weightPrefix);
+         *  empty for a single pattern, which never draws. */
+        std::vector<double> weight_prefix;
         uint64_t length_refs;
     };
 

@@ -111,25 +111,53 @@ Rng::geometric(double p, uint64_t cap)
 size_t
 Rng::weighted(const std::vector<double> &weights)
 {
+    return weightedPrefix(weightPrefix(weights));
+}
+
+std::vector<double>
+Rng::weightPrefix(const std::vector<double> &weights)
+{
     capAssert(!weights.empty(), "weighted draw over empty weights");
+    std::vector<double> prefix;
+    prefix.reserve(weights.size());
     double total = 0.0;
     for (double w : weights) {
         capAssert(w >= 0.0, "negative weight");
         total += w;
+        prefix.push_back(total);
     }
     capAssert(total > 0.0, "weighted draw needs a positive total");
-    double target = uniform() * total;
-    double acc = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (target < acc)
+    return prefix;
+}
+
+size_t
+Rng::weightedPrefix(const std::vector<double> &prefix)
+{
+    double target = uniform() * prefix.back();
+    for (size_t i = 0; i < prefix.size(); ++i) {
+        if (target < prefix[i])
             return i;
     }
-    return weights.size() - 1;
+    return prefix.size() - 1;
 }
 
 uint64_t
 Rng::zipf(uint64_t n, double s)
+{
+    return zipf(n, s, zipfNorm(n, s));
+}
+
+double
+Rng::zipfNorm(uint64_t n, double s)
+{
+    double x = static_cast<double>(n);
+    if (std::abs(s - 1.0) < 1e-9)
+        return std::log(x + 1.0);
+    return (std::pow(x + 1.0, 1.0 - s) - 1.0) / (1.0 - s);
+}
+
+uint64_t
+Rng::zipf(uint64_t n, double s, double norm)
 {
     capAssert(n > 0, "zipf over empty range");
     // Rejection-inversion would be overkill; workloads use small s and
@@ -138,15 +166,7 @@ Rng::zipf(uint64_t n, double s)
     double u = uniform();
     if (s <= 0.0)
         return below(n);
-    // Normalizing constant via the integral approximation of the
-    // generalized harmonic number.
-    auto hInt = [s](double x) {
-        if (std::abs(s - 1.0) < 1e-9)
-            return std::log(x + 1.0);
-        return (std::pow(x + 1.0, 1.0 - s) - 1.0) / (1.0 - s);
-    };
-    double total = hInt(static_cast<double>(n));
-    double target = u * total;
+    double target = u * norm;
     // Invert the integral approximation.
     double x;
     if (std::abs(s - 1.0) < 1e-9) {

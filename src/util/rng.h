@@ -60,10 +60,32 @@ class Rng
     size_t weighted(const std::vector<double> &weights);
 
     /**
+     * Running sums of non-negative @p weights with a positive total,
+     * added in order: the table weightedPrefix() draws from.
+     */
+    static std::vector<double>
+    weightPrefix(const std::vector<double> &weights);
+
+    /**
+     * weighted() over the running sums @p prefix of its weights
+     * (weightPrefix()): the same index from the same draw, without
+     * re-summing or re-checking the weights.
+     */
+    size_t weightedPrefix(const std::vector<double> &prefix);
+
+    /**
      * Zipf-like draw over [0, n): element k has weight 1/(k+1)^s.
      * Used for hot/cold block popularity inside working-set regions.
      */
     uint64_t zipf(uint64_t n, double s);
+
+    /** zipf() with its normalizer @p norm = zipfNorm(n, s) computed
+     *  once by the caller; the same draw, bit for bit. */
+    uint64_t zipf(uint64_t n, double s, double norm);
+
+    /** The normalizer of zipf(n, s): the integral approximation of
+     *  the generalized harmonic number H(n, s). */
+    static double zipfNorm(uint64_t n, double s);
 
     /** Derive an independent child generator (for sub-streams). */
     Rng split();

@@ -448,21 +448,60 @@ TEST(MemDramStudy, StudyIsJobAndEngineInvariant)
     }
 }
 
-TEST(MemDramStudy, OnePassSweepFallsBackUnderDram)
+TEST(MemDramStudy, OnePassSweepIsExactUnderDram)
 {
-    core::AdaptiveCacheModel model;
-    model.setMemConfig(parseOrDie("dram"));
-    const trace::AppProfile &app = trace::findApp("li");
-    obs::CounterRegistry registry;
-    std::vector<core::CachePerf> swept =
-        model.sweepOnePassObserved(app, 8, 20000, nullptr, &registry);
-    EXPECT_EQ(swept.size(), 8u);
-    EXPECT_EQ(registry.counterValue("stacksim.dram_fallbacks"), 1u);
-    EXPECT_EQ(registry.counterValue("stacksim.sweeps"), 0u);
-    // The fallback produces the same numbers as evaluate().
-    for (int k = 1; k <= 8; ++k) {
-        EXPECT_EQ(swept[k - 1].tpi_ns,
-                  model.evaluate(app, k, 20000).tpi_ns);
+    // Every counter a per-boundary dram evaluation records; beside
+    // them it keeps only the path-dependent cache.service_way
+    // histogram, which one pass does not reconstruct.
+    const std::vector<std::string> counters = {
+        "cache.refs",         "cache.l1_hits",   "cache.l2_hits",
+        "cache.misses",       "cache.writebacks", "cache.swaps",
+        "dram.accesses",      "dram.row_hits",   "dram.row_misses",
+        "dram.row_conflicts", "dram.service_ns", "dram.queue_ns",
+        "mshr.allocs",        "mshr.merges",     "mshr.full_stalls",
+        "mshr.stall_ns"};
+    constexpr uint64_t kRefs = 20000;
+    for (const char *spec : {"dram", "dram:banks=2,mshr=2,policy=closed"}) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(parseOrDie(spec));
+        for (const trace::AppProfile &app : trace::cacheStudyApps()) {
+            SCOPED_TRACE(std::string(spec) + " " + app.name);
+            obs::CounterRegistry swept_registry;
+            obs::DecisionTrace swept_trace;
+            std::vector<core::CachePerf> swept = model.sweepOnePassObserved(
+                app, 8, kRefs, &swept_trace, &swept_registry);
+            ASSERT_EQ(swept.size(), 8u);
+
+            obs::CounterRegistry registry;
+            obs::DecisionTrace trace;
+            for (int k = 1; k <= 8; ++k) {
+                // evaluateObserved() is evaluate() with observers,
+                // which never change the result.
+                core::CachePerf want = model.evaluateObserved(
+                    app, k, kRefs, &trace, &registry);
+                const core::CachePerf &got = swept[k - 1];
+                EXPECT_EQ(got.l1_increments, want.l1_increments) << k;
+                EXPECT_EQ(got.refs, want.refs) << k;
+                EXPECT_EQ(got.instructions, want.instructions) << k;
+                EXPECT_EQ(got.l1_miss_ratio, want.l1_miss_ratio) << k;
+                EXPECT_EQ(got.global_miss_ratio, want.global_miss_ratio)
+                    << k;
+                EXPECT_EQ(got.tpi_ns, want.tpi_ns) << k;
+                EXPECT_EQ(got.tpi_miss_ns, want.tpi_miss_ns) << k;
+            }
+            ASSERT_EQ(swept_trace.size(), trace.size());
+            for (size_t i = 0; i < trace.size(); ++i)
+                EXPECT_EQ(swept_trace.events()[i].duration_ns,
+                          trace.events()[i].duration_ns);
+
+            EXPECT_EQ(registry.counterCount(), counters.size());
+            EXPECT_GT(registry.counterValue("dram.accesses"), 0u);
+            for (const std::string &name : counters)
+                EXPECT_EQ(swept_registry.counterValue(name),
+                          registry.counterValue(name))
+                    << name;
+            EXPECT_EQ(swept_registry.counterValue("stacksim.sweeps"), 1u);
+        }
     }
 }
 
@@ -873,7 +912,10 @@ TEST(MemGolden, PhasePredictiveCacheRun)
     });
 }
 
-TEST(MemGolden, CacheIntervalOracleLanes)
+/** runCacheIntervalOracle's golden lines under both backends, from
+ *  the per-boundary lanes or the one-pass stack walk. */
+Golden
+cacheIntervalOracleGolden(bool one_pass)
 {
     const trace::AppProfile &app = trace::findApp("compress");
     std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -888,7 +930,7 @@ TEST(MemGolden, CacheIntervalOracleLanes)
         core::CacheIntervalResult result = core::runCacheIntervalOracle(
             model, app, 30000, boundaries, 4000, true,
             core::kClockSwitchPenaltyCycles, 2, {&trace, &registry},
-            false);
+            one_pass);
         addIntervalResult(golden, name, result);
         for (const obs::TraceEvent &e : trace.events()) {
             if (e.kind != obs::EventKind::Interval)
@@ -899,7 +941,13 @@ TEST(MemGolden, CacheIntervalOracleLanes)
             golden.add(tag + ".mem_stall_ns", e.mem_stall_ns);
         }
     }
-    golden.expect({
+    return golden;
+}
+
+TEST(MemGolden, CacheIntervalOracleLanes)
+{
+    // Both engines must reproduce one table, mem_stall_ns included.
+    const std::vector<std::string> want = {
         "flat.refs=30000",
         "flat.instructions=333330",
         "flat.total_time_ns=4682455797021577534",
@@ -944,7 +992,11 @@ TEST(MemGolden, CacheIntervalOracleLanes)
         "dram.interval6.mem_stall_ns=0",
         "dram.interval7.duration_ns=4663586017593293355",
         "dram.interval7.mem_stall_ns=4624633867356078080",
-    });
+    };
+    for (bool one_pass : {false, true}) {
+        SCOPED_TRACE(one_pass ? "one-pass" : "lanes");
+        cacheIntervalOracleGolden(one_pass).expect(want);
+    }
 }
 
 TEST(MemGolden, AsyncCacheEvaluate)

@@ -80,6 +80,35 @@ TEST(StackSimTest, MatchesHierarchyAtEveryBoundary)
     }
 }
 
+TEST(StackSimTest, DepthsGiveEveryBoundarysOutcome)
+{
+    cache::HierarchyGeometry geo;
+    for (const char *name : {"li", "stereo", "compress", "swim"}) {
+        std::vector<trace::TraceRecord> records = appTrace(name, 30000);
+
+        cache::StackSimulator stack(geo);
+        std::vector<cache::StackDepth> depths(records.size());
+        stack.accessBatch(records.data(), records.size(), depths.data());
+
+        for (int k = 1; k < geo.increments; ++k) {
+            std::string where =
+                std::string(name) + " k=" + std::to_string(k);
+            cache::ExclusiveHierarchy hierarchy(geo, k);
+            for (size_t i = 0; i < records.size(); ++i) {
+                cache::AccessOutcome want = hierarchy.access(records[i]);
+                if (cache::outcomeAtDepth(depths[i], geo.l1Ways(k)) !=
+                    want) {
+                    ADD_FAILURE() << where << ": reference " << i
+                                  << " at depth " << depths[i];
+                    break;
+                }
+            }
+            // Recording depths leaves the reconstruction untouched.
+            expectStatsEq(stack.statsFor(k), hierarchy.stats(), where);
+        }
+    }
+}
+
 TEST(StackSimTest, ResetRestoresColdStart)
 {
     cache::HierarchyGeometry geo;
