@@ -2,14 +2,16 @@
  * @file
  * Perf smoke: one-pass sweeps vs per-config replay, both study sides.
  *
- * Runs the paper's static cache study twice -- once with a dedicated
- * ExclusiveHierarchy per L1/L2 boundary (the pre-one-pass behaviour)
+ * Runs the paper's static cache study twice -- once on the test-only
+ * per-config reference engine (tests/reference.h: a dedicated
+ * ExclusiveHierarchy per L1/L2 boundary, the pre-one-pass behaviour)
  * and once with the single-pass stack-distance engine (docs/PERF.md),
  * under the flat miss edge and again under --mem=dram -- then does
- * the same for the static instruction-queue study (one
- * CoreModel per queue size vs the one-pass ooo::WindowSweeper).  Each
- * lane checks the two modes produce bit-identical results and reports
- * wall-clock, delivered work per second, and the speedup ratio.
+ * the same for the static instruction-queue study (one CoreModel per
+ * queue size vs the one-pass ooo::WindowSweeper) and for both interval
+ * oracles' cost tables.  Each lane checks the two engines produce
+ * bit-identical results and reports wall-clock, delivered work per
+ * second, and the speedup ratio.
  *
  * The ratios, not the absolute wall times, are the regression metric:
  * they cancel host speed, so CI can hold them against a committed
@@ -48,6 +50,7 @@
 #include "core/interval_controller.h"
 #include "mem/mem_model.h"
 #include "obs/span_profiler.h"
+#include "reference.h"
 #include "serve/job.h"
 
 namespace {
@@ -173,9 +176,8 @@ main(int argc, char **argv)
               << apps.size() << ", jobs: " << jobs << "\n\n";
 
     core::CacheStudy per_config =
-        core::runCacheStudy(model, apps, refs, 8, jobs, {}, false);
-    core::CacheStudy one_pass =
-        core::runCacheStudy(model, apps, refs, 8, jobs, {}, true);
+        reference::runCacheStudy(model, apps, refs, 8, jobs);
+    core::CacheStudy one_pass = core::runCacheStudy(model, apps, refs, 8, jobs);
 
     // The speedup claim is only meaningful if the fast path is exact.
     for (size_t a = 0; a < apps.size(); ++a) {
@@ -228,7 +230,7 @@ main(int argc, char **argv)
         flat_model.setMemConfig(flat_config);
     }
     core::CacheStudy explicit_flat =
-        core::runCacheStudy(flat_model, apps, refs, 8, jobs, {}, false);
+        reference::runCacheStudy(flat_model, apps, refs, 8, jobs);
     for (size_t a = 0; a < apps.size(); ++a) {
         for (size_t c = 0; c < per_config.perf[a].size(); ++c) {
             const core::CachePerf &def = per_config.perf[a][c];
@@ -256,9 +258,9 @@ main(int argc, char **argv)
         dram_model.setMemConfig(dram_config);
     }
     core::CacheStudy dram_per_config =
-        core::runCacheStudy(dram_model, apps, refs, 8, jobs, {}, false);
+        reference::runCacheStudy(dram_model, apps, refs, 8, jobs);
     core::CacheStudy dram_one_pass =
-        core::runCacheStudy(dram_model, apps, refs, 8, jobs, {}, true);
+        core::runCacheStudy(dram_model, apps, refs, 8, jobs);
     for (size_t a = 0; a < apps.size(); ++a) {
         for (size_t c = 0; c < dram_per_config.perf[a].size(); ++c) {
             const core::CachePerf &slow = dram_per_config.perf[a][c];
@@ -309,9 +311,9 @@ main(int argc, char **argv)
               << "\n\n";
 
     core::IqStudy iq_per_config =
-        core::runIqStudy(iq_model, iq_apps, instrs, jobs, {}, false);
+        reference::runIqStudy(iq_model, iq_apps, instrs, jobs);
     core::IqStudy iq_one_pass =
-        core::runIqStudy(iq_model, iq_apps, instrs, jobs, {}, true);
+        core::runIqStudy(iq_model, iq_apps, instrs, jobs);
 
     for (size_t a = 0; a < iq_apps.size(); ++a) {
         for (size_t c = 0; c < iq_per_config.perf[a].size(); ++c) {
@@ -352,10 +354,10 @@ main(int argc, char **argv)
                      Cell(iq_fast_rate, 0), Cell(iq_speedup, 2)});
     emit(iq_table);
 
-    // ---- Interval oracles: per-candidate lanes vs one-pass.  Both
-    // engines run serially (jobs=1) so the ratio is the algorithmic
-    // speedup, not a parallelism artefact; the exactness check is the
-    // whole result, trace included. ----
+    // ---- Interval oracles: per-candidate lanes vs one-pass cost
+    // tables.  Both engines run serially (jobs=1) so the ratio is the
+    // algorithmic speedup, not a parallelism artefact; the exactness
+    // check is every entry of the table the winner reduction reads. ----
     auto seconds = [](auto fn) {
         auto start = std::chrono::steady_clock::now();
         fn();
@@ -367,50 +369,35 @@ main(int argc, char **argv)
     const trace::AppProfile &oracle_app = iq_apps.front();
     const std::vector<int> oracle_sizes =
         core::AdaptiveIqModel::studySizes();
-    core::IntervalRunResult oracle_lanes, oracle_onepass;
+    std::vector<std::vector<core::IqIntervalCost>> oracle_lanes,
+        oracle_onepass;
     const double oracle_iq_slow_s = seconds([&] {
-        oracle_lanes = core::runIntervalOracle(
-            iq_model, oracle_app, instrs, oracle_sizes,
-            core::kIntervalInstructions, true,
-            core::kClockSwitchPenaltyCycles, 1, {}, false);
+        oracle_lanes = reference::intervalOracleCosts(
+            oracle_app, instrs, oracle_sizes, core::kIntervalInstructions);
     });
     const double oracle_iq_fast_s = seconds([&] {
-        oracle_onepass = core::runIntervalOracle(
-            iq_model, oracle_app, instrs, oracle_sizes,
-            core::kIntervalInstructions, true,
-            core::kClockSwitchPenaltyCycles, 1, {}, true);
+        oracle_onepass = core::intervalOracleCosts(
+            oracle_app, instrs, oracle_sizes, core::kIntervalInstructions);
     });
-    if (oracle_lanes.instructions != oracle_onepass.instructions ||
-        oracle_lanes.total_time_ns != oracle_onepass.total_time_ns ||
-        oracle_lanes.reconfigurations !=
-            oracle_onepass.reconfigurations ||
-        oracle_lanes.config_trace != oracle_onepass.config_trace) {
+    if (oracle_lanes != oracle_onepass) {
         std::cerr << "perf_smoke: one-pass IQ oracle diverges at "
                   << oracle_app.name << "\n";
         return 1;
     }
 
     const trace::AppProfile &oracle_cache_app = apps.front();
-    core::CacheIntervalResult cache_oracle_lanes, cache_oracle_onepass;
+    const std::vector<int> oracle_boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
+    std::vector<std::vector<core::CacheIntervalCost>> cache_oracle_lanes,
+        cache_oracle_onepass;
     const double oracle_cache_slow_s = seconds([&] {
-        cache_oracle_lanes = core::runCacheIntervalOracle(
-            model, oracle_cache_app, refs, {1, 2, 3, 4, 5, 6, 7, 8},
-            1000, true, core::kClockSwitchPenaltyCycles, 1, {}, false);
+        cache_oracle_lanes = reference::cacheIntervalOracleCosts(
+            model, oracle_cache_app, refs, oracle_boundaries, 1000);
     });
     const double oracle_cache_fast_s = seconds([&] {
-        cache_oracle_onepass = core::runCacheIntervalOracle(
-            model, oracle_cache_app, refs, {1, 2, 3, 4, 5, 6, 7, 8},
-            1000, true, core::kClockSwitchPenaltyCycles, 1, {}, true);
+        cache_oracle_onepass = core::cacheIntervalOracleCosts(
+            model, oracle_cache_app, refs, oracle_boundaries, 1000);
     });
-    if (cache_oracle_lanes.refs != cache_oracle_onepass.refs ||
-        cache_oracle_lanes.instructions !=
-            cache_oracle_onepass.instructions ||
-        cache_oracle_lanes.total_time_ns !=
-            cache_oracle_onepass.total_time_ns ||
-        cache_oracle_lanes.reconfigurations !=
-            cache_oracle_onepass.reconfigurations ||
-        cache_oracle_lanes.boundary_trace !=
-            cache_oracle_onepass.boundary_trace) {
+    if (cache_oracle_lanes != cache_oracle_onepass) {
         std::cerr << "perf_smoke: one-pass cache oracle diverges at "
                   << oracle_cache_app.name << "\n";
         return 1;

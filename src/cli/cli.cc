@@ -108,9 +108,6 @@ cmdHelp(std::ostream &out)
            "      [--jobs N]               worker threads (0 = all cores)\n"
            "      [--sample[=k,ivl[,wrm]]] estimate cells from cluster\n"
            "                               representatives (sampled mode)\n"
-           "      [--no-onepass]           one hierarchy per boundary\n"
-           "                               instead of the one-pass\n"
-           "                               stack-distance sweep\n"
            "      [--mem SPEC]             miss backend: flat (default)\n"
            "                               or dram[:k=v,..] -- banked\n"
            "                               DRAM + MSHRs (docs/MEMORY.md)\n"
@@ -120,9 +117,6 @@ cmdHelp(std::ostream &out)
            "      [--jobs N]               worker threads (0 = all cores)\n"
            "      [--sample[=k,ivl[,wrm]]] estimate cells from cluster\n"
            "                               representatives (sampled mode)\n"
-           "      [--no-onepass]           one core per queue size\n"
-           "                               instead of the one-pass\n"
-           "                               window sweep\n"
            "      [--mem SPEC]             accepted for symmetry; the\n"
            "                               IQ machine models no memory\n"
            "      [--telemetry-json PATH]  write execution telemetry\n"
@@ -145,11 +139,8 @@ cmdHelp(std::ostream &out)
            "                               MAE <= --mae-max and the CI\n"
            "                               brackets the best config\n"
            "      [--mae-max PCT]          --check threshold (default 2)\n"
-           "      [--no-onepass]           per-config replay instead of\n"
-           "                               the one-pass sweep\n"
            "      [--oracle]               sampled per-interval oracle\n"
-           "                               (iq side, single app; honors\n"
-           "                               --no-onepass)\n"
+           "                               (iq side, single app)\n"
            "      [--trace-file PATH]      profile + replay a recorded\n"
            "                               trace file instead of the\n"
            "                               synthetic generator (either\n"
@@ -172,9 +163,6 @@ cmdHelp(std::ostream &out)
            "      [--compare-triggers]     run period/phase/hybrid plus\n"
            "                               the oracle and report the\n"
            "                               TPI gap each mode closes\n"
-           "      [--no-onepass]           per-candidate oracle lanes\n"
-           "                               instead of the one-pass\n"
-           "                               window sweep\n"
            "      [--mem SPEC]             accepted for symmetry; the\n"
            "                               IQ machine models no memory\n"
            "      [--telemetry-json PATH]  write execution telemetry\n"
@@ -297,20 +285,6 @@ jobsFlag(const Options &options)
 {
     uint64_t jobs = options.getU64("jobs", 1);
     return jobs == 0 ? defaultJobs() : static_cast<int>(jobs);
-}
-
-/** The --onepass / --no-onepass pair: sweeps and interval oracles
- *  default to the one-pass counterfactual engines (the stack-distance
- *  walk on the cache side, the window sweep on the IQ side; see
- *  docs/PERF.md); --no-onepass is the escape hatch back to one
- *  simulation per candidate.  Both are bare flags -- place them after
- *  the positional argument. */
-bool
-onePassFlag(const Options &options)
-{
-    if (options.flags.count("no-onepass"))
-        return false;
-    return true;
 }
 
 /** The --mem flag: "flat" (default) keeps the fixed-latency miss
@@ -592,7 +566,7 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
     if (sampled) {
         sample::SampledCacheStudy study = sample::runSampledCacheStudy(
             model, apps, refs, sparams, 8, jobsFlag(options),
-            session.hooks(), onePassFlag(options));
+            session.hooks());
         serve::renderSampledCacheSweep(out, names, study.perf, refs);
         if (int rc = writeTelemetry(options, study.telemetry, err))
             return rc;
@@ -600,8 +574,7 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
     }
 
     core::CacheStudy study = core::runCacheStudy(
-        model, apps, refs, 8, jobsFlag(options), session.hooks(),
-        onePassFlag(options));
+        model, apps, refs, 8, jobsFlag(options), session.hooks());
     serve::renderCacheSweep(out, names, study.perf, refs);
     if (int rc = writeTelemetry(options, study.telemetry, err))
         return rc;
@@ -643,7 +616,7 @@ cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
     if (sampled) {
         sample::SampledIqStudy study = sample::runSampledIqStudy(
             model, apps, instrs, sparams, jobsFlag(options),
-            session.hooks(), onePassFlag(options));
+            session.hooks());
         serve::renderSampledIqSweep(out, names, study.perf, instrs);
         if (int rc = writeTelemetry(options, study.telemetry, err))
             return rc;
@@ -652,8 +625,7 @@ cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
 
     core::IqStudy study = core::runIqStudy(model, apps, instrs,
                                            jobsFlag(options),
-                                           session.hooks(),
-                                           onePassFlag(options));
+                                           session.hooks());
     serve::renderIqSweep(out, names, study.perf, instrs);
     if (int rc = writeTelemetry(options, study.telemetry, err))
         return rc;
@@ -745,8 +717,7 @@ cmdIntervalRun(const Options &options, std::ostream &out,
             runMode(core::IntervalTrigger::Hybrid);
         core::IntervalRunResult oracle = core::runIntervalOracle(
             model, apps[0], instrs, sizes, params.interval_instrs, true,
-            params.switch_penalty_cycles, jobsFlag(options), {},
-            onePassFlag(options));
+            params.switch_penalty_cycles);
 
         double gap = period.tpi() - oracle.tpi();
         TableWriter table("trigger comparison, " + apps[0].name + ", " +
@@ -1179,13 +1150,8 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
             sample::CacheSampler sampler(model, apps[0], trace_file,
                                          params);
             constexpr int kBoundaries = 8;
-            std::vector<std::vector<sample::CacheRepMeasurement>> meas;
-            if (onePassFlag(options)) {
-                meas = sampler.measureAllConfigs(kBoundaries);
-            } else {
-                for (int k = 1; k <= kBoundaries; ++k)
-                    meas.push_back(sampler.measureConfig(k));
-            }
+            std::vector<std::vector<sample::CacheRepMeasurement>> meas =
+                sampler.measureAllConfigs(kBoundaries);
             std::vector<sample::SampledCachePerf> perf;
             size_t best = 0;
             for (int k = 1; k <= kBoundaries; ++k) {
@@ -1218,17 +1184,8 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
         core::AdaptiveIqModel model;
         sample::IqSampler sampler(model, apps[0], trace_file, params);
         std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
-        std::vector<std::vector<sample::IqRepMeasurement>> meas;
-        if (onePassFlag(options)) {
-            meas = sampler.measureAllConfigs();
-        } else {
-            for (int entries : sizes) {
-                std::vector<sample::IqRepMeasurement> per;
-                for (size_t r = 0; r < sampler.repCount(); ++r)
-                    per.push_back(sampler.measureRep(entries, r));
-                meas.push_back(std::move(per));
-            }
-        }
+        std::vector<std::vector<sample::IqRepMeasurement>> meas =
+            sampler.measureAllConfigs();
         std::vector<sample::SampledIqPerf> perf;
         size_t best = 0;
         for (size_t c = 0; c < sizes.size(); ++c) {
@@ -1266,7 +1223,7 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
         core::IntervalRunResult result = sample::runSampledIntervalOracle(
             model, apps[0], instrs, core::AdaptiveIqModel::studySizes(),
             params, true, core::kClockSwitchPenaltyCycles, jobs,
-            session.hooks(), onePassFlag(options));
+            session.hooks());
         TableWriter table("sampled interval oracle, " + apps[0].name +
                           ", " + std::to_string(instrs) + " instructions");
         table.setHeader({"quantity", "value"});
@@ -1317,15 +1274,12 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
     if (side == "cache") {
         uint64_t refs = options.getU64("refs", 600000);
         core::AdaptiveCacheModel model;
-        bool one_pass = onePassFlag(options);
         sample::SampledCacheStudy study = sample::runSampledCacheStudy(
-            model, apps, refs, params, 8, jobs, session.hooks(),
-            one_pass);
+            model, apps, refs, params, 8, jobs, session.hooks());
         telemetry = study.telemetry;
         core::CacheStudy full;
         if (validate)
-            full = core::runCacheStudy(model, apps, refs, 8, jobs, {},
-                                       one_pass);
+            full = core::runCacheStudy(model, apps, refs, 8, jobs);
         for (size_t a = 0; a < apps.size(); ++a) {
             size_t best = study.selection.per_app_best[a];
             const sample::SampledCachePerf &sp = study.perf[a][best];
@@ -1358,8 +1312,7 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
         uint64_t instrs = options.getU64("instrs", 400000);
         core::AdaptiveIqModel model;
         sample::SampledIqStudy study = sample::runSampledIqStudy(
-            model, apps, instrs, params, jobs, session.hooks(),
-            onePassFlag(options));
+            model, apps, instrs, params, jobs, session.hooks());
         telemetry = study.telemetry;
         core::IqStudy full;
         if (validate)

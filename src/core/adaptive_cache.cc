@@ -21,8 +21,8 @@ constexpr double kTagAreaOverhead = 1.25;
 // states.
 constexpr double kL2FixedNs = 5.0;
 
-/** The Cell summary record evaluateObserved() emits; shared with the
- *  one-pass sweep so both paths stay byte-identical. */
+/** The Cell summary record evaluateObserved() emits; shared with
+ *  sweepObserved() so both paths stay byte-identical. */
 obs::TraceEvent
 cellEvent(const trace::AppProfile &app, const CacheBoundaryTiming &timing,
           const CachePerf &perf)
@@ -293,28 +293,14 @@ std::vector<CachePerf>
 AdaptiveCacheModel::sweep(const trace::AppProfile &app,
                           int max_l1_increments, uint64_t refs) const
 {
-    capAssert(max_l1_increments >= 1 &&
-              max_l1_increments < geometry_.increments,
-              "sweep bound out of range");
-    std::vector<CachePerf> results;
-    for (int k = 1; k <= max_l1_increments; ++k)
-        results.push_back(evaluate(app, k, refs));
-    return results;
+    return sweepObserved(app, max_l1_increments, refs, nullptr, nullptr);
 }
 
 std::vector<CachePerf>
-AdaptiveCacheModel::sweepOnePass(const trace::AppProfile &app,
-                                 int max_l1_increments,
-                                 uint64_t refs) const
-{
-    return sweepOnePassObserved(app, max_l1_increments, refs, nullptr,
-                                nullptr);
-}
-
-std::vector<CachePerf>
-AdaptiveCacheModel::sweepOnePassObserved(
-    const trace::AppProfile &app, int max_l1_increments, uint64_t refs,
-    obs::DecisionTrace *trace, obs::CounterRegistry *registry) const
+AdaptiveCacheModel::sweepObserved(const trace::AppProfile &app,
+                                  int max_l1_increments, uint64_t refs,
+                                  obs::DecisionTrace *trace,
+                                  obs::CounterRegistry *registry) const
 {
     capAssert(refs > 0, "evaluation needs references");
     capAssert(max_l1_increments >= 1 &&

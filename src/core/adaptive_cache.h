@@ -259,37 +259,33 @@ class AdaptiveCacheModel
                                obs::DecisionTrace *trace,
                                obs::CounterRegistry *registry) const;
 
-    /** Evaluate every boundary in [1, max_l1_increments]. */
+    /**
+     * Evaluate every boundary in [1, max_l1_increments] from one
+     * stack-distance pass over the trace (cache::StackSimulator),
+     * under dram with one MissClock lane per boundary (walkStack).
+     * Bit-identical to evaluate() at each boundary -- the
+     * reconstruction is exact, not approximate (docs/PERF.md) -- at
+     * ~1/max_l1_increments the simulation cost (sweepObserved() with
+     * both observers null).
+     */
     std::vector<CachePerf> sweep(const trace::AppProfile &app,
                                  int max_l1_increments,
                                  uint64_t refs) const;
 
     /**
-     * One-pass counterpart of sweep(): a single stack-distance pass
-     * over the trace (cache::StackSimulator) scores every boundary in
-     * [1, max_l1_increments] at once, under dram with one MissClock
-     * lane per boundary (walkStack).  Bit-identical to sweep() --
-     * the reconstruction is exact, not approximate (docs/PERF.md) --
-     * at ~1/max_l1_increments the simulation cost.
+     * As sweep(), recording observability: per-boundary Cell trace
+     * records and `cache.*` (plus, under dram, `dram.*` and `mshr.*`)
+     * counters identical to what evaluateObserved() would emit for
+     * each boundary (except the `cache.service_way` histogram, whose
+     * physical-way breakdown is path-dependent and not
+     * reconstructible from stack depths), plus `stacksim.*` counters
+     * describing the one-pass run itself.
      */
-    std::vector<CachePerf> sweepOnePass(const trace::AppProfile &app,
-                                        int max_l1_increments,
-                                        uint64_t refs) const;
-
-    /**
-     * As sweepOnePass(), recording observability: per-boundary Cell
-     * trace records and `cache.*` (plus, under dram, `dram.*` and
-     * `mshr.*`) counters identical to what evaluateObserved() would
-     * emit for each boundary (except the `cache.service_way`
-     * histogram, whose physical-way breakdown is path-dependent and
-     * not reconstructible from stack depths), plus `stacksim.*`
-     * counters describing the one-pass run itself.
-     */
-    std::vector<CachePerf>
-    sweepOnePassObserved(const trace::AppProfile &app,
-                         int max_l1_increments, uint64_t refs,
-                         obs::DecisionTrace *trace,
-                         obs::CounterRegistry *registry) const;
+    std::vector<CachePerf> sweepObserved(const trace::AppProfile &app,
+                                         int max_l1_increments,
+                                         uint64_t refs,
+                                         obs::DecisionTrace *trace,
+                                         obs::CounterRegistry *registry) const;
 
     /**
      * Derive TPI from raw event counts (shared by evaluate() and the

@@ -146,26 +146,16 @@ std::vector<IqPerf>
 AdaptiveIqModel::sweep(const trace::AppProfile &app,
                        uint64_t instructions) const
 {
-    std::vector<IqPerf> results;
-    for (int entries : studySizes())
-        results.push_back(evaluate(app, entries, instructions));
-    return results;
+    return sweepObserved(app, instructions, kIntervalInstructions,
+                         nullptr, nullptr);
 }
 
 std::vector<IqPerf>
-AdaptiveIqModel::sweepOnePass(const trace::AppProfile &app,
-                              uint64_t instructions) const
-{
-    return sweepOnePassObserved(app, instructions, kIntervalInstructions,
-                                nullptr, nullptr);
-}
-
-std::vector<IqPerf>
-AdaptiveIqModel::sweepOnePassObserved(const trace::AppProfile &app,
-                                      uint64_t instructions,
-                                      uint64_t interval_instrs,
-                                      obs::DecisionTrace *trace,
-                                      obs::CounterRegistry *registry) const
+AdaptiveIqModel::sweepObserved(const trace::AppProfile &app,
+                               uint64_t instructions,
+                               uint64_t interval_instrs,
+                               obs::DecisionTrace *trace,
+                               obs::CounterRegistry *registry) const
 {
     capAssert(instructions > 0, "evaluation needs instructions");
     capAssert(interval_instrs > 0, "interval length must be positive");
@@ -193,8 +183,8 @@ AdaptiveIqModel::sweepOnePassObserved(const trace::AppProfile &app,
     sweeper.advanceAllTo(instructions);
 
     // Emit per size in ladder order, all of one size's intervals
-    // before the next: exactly the order the per-config cells merge
-    // in, so trace and registry match byte for byte.
+    // before the next: exactly the order evaluateObserved() at each
+    // size emits in, so trace and registry match byte for byte.
     std::vector<IqPerf> results;
     results.reserve(sweeper.laneCount());
     for (size_t lane = 0; lane < sweeper.laneCount(); ++lane) {

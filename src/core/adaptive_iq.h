@@ -81,28 +81,24 @@ class AdaptiveIqModel
                             obs::DecisionTrace *trace,
                             obs::CounterRegistry *registry) const;
 
-    /** Evaluate every study size. */
+    /**
+     * Evaluate every study size in one pass: a single generation of
+     * the op stream feeds one ooo::WindowSweeper lane per queue size.
+     * Bit-identical to evaluate() at each size
+     * (tests/windowsweep_test.cc pins it).
+     */
     std::vector<IqPerf> sweep(const trace::AppProfile &app,
                               uint64_t instructions) const;
 
     /**
-     * Evaluate every study size in one pass: a single generation of
-     * the op stream feeds one ooo::WindowSweeper lane per queue size.
-     * Bit-identical to sweep() (tests/windowsweep_test.cc pins it).
-     */
-    std::vector<IqPerf> sweepOnePass(const trace::AppProfile &app,
-                                     uint64_t instructions) const;
-
-    /**
-     * One-pass counterpart of evaluateObserved() over the whole
+     * sweep()'s counterpart of evaluateObserved() over the whole
      * ladder: per-lane issue marks reproduce every per-interval
-     * record, and the folded counters/occupancy histograms match the
-     * per-config cells, so the merged study output is byte-identical
-     * to the per-config path.  Also counts `windowsweep.sweeps`,
-     * `windowsweep.instructions` and `windowsweep.lanes` into
-     * @p registry.
+     * record, and the folded counters/occupancy histograms match
+     * evaluateObserved() at each size in ladder order, byte for byte.
+     * Also counts `windowsweep.sweeps`, `windowsweep.instructions`
+     * and `windowsweep.lanes` into @p registry.
      */
-    std::vector<IqPerf> sweepOnePassObserved(
+    std::vector<IqPerf> sweepObserved(
         const trace::AppProfile &app, uint64_t instructions,
         uint64_t interval_instrs, obs::DecisionTrace *trace,
         obs::CounterRegistry *registry) const;

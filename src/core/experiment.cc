@@ -22,10 +22,11 @@ secondsSince(SteadyClock::time_point start)
 }
 
 /**
- * Fan the (app x config) cells of a study across @p jobs workers.
- * @p run_cell simulates one cell and returns its configuration label;
- * it must write only to state owned by that cell (including the
- * cell-private observation buffers it is handed).  When @p hooks carry
+ * Fan the per-application cells of a study across @p jobs workers,
+ * labelling each cell's telemetry @p config_label.  @p run_cell
+ * simulates one application; it must write only to state owned by
+ * that cell (including the cell-private observation buffers it is
+ * handed).  When @p hooks carry
  * sinks, the private buffers are merged into them serially in cell
  * order after the fan-out, so the emitted trace/metrics are
  * bit-identical for every @p jobs (docs/MODEL.md section 11).
@@ -36,16 +37,15 @@ secondsSince(SteadyClock::time_point start)
  */
 void
 runStudyCells(RunTelemetry &telemetry, const char *progress_label,
-              size_t n_apps, size_t n_configs, int jobs,
+              const std::vector<trace::AppProfile> &apps,
+              const std::string &config_label, int jobs,
               const obs::Hooks &hooks,
-              const std::function<std::string(size_t app, size_t config,
-                                              obs::DecisionTrace *,
-                                              obs::CounterRegistry *)>
-                  &run_cell)
+              const std::function<void(size_t app, obs::DecisionTrace *,
+                                       obs::CounterRegistry *)> &run_cell)
 {
     capAssert(jobs >= 1, "study needs at least one worker");
     telemetry.jobs = jobs;
-    size_t n_cells = n_apps * n_configs;
+    size_t n_cells = apps.size();
     telemetry.cells.assign(n_cells, {});
 
     std::vector<obs::DecisionTrace> traces(hooks.trace ? n_cells : 0);
@@ -60,15 +60,12 @@ runStudyCells(RunTelemetry &telemetry, const char *progress_label,
         CAPSIM_SPAN("study.fanout");
         parallelFor(pool, n_cells, [&](size_t cell) {
             CAPSIM_SPAN("study.cell");
-            size_t app = cell / n_configs;
-            size_t config = cell % n_configs;
             SteadyClock::time_point cell_start = SteadyClock::now();
-            std::string label =
-                run_cell(app, config,
-                         hooks.trace ? &traces[cell] : nullptr,
-                         hooks.registry ? &registries[cell] : nullptr);
+            run_cell(cell, hooks.trace ? &traces[cell] : nullptr,
+                     hooks.registry ? &registries[cell] : nullptr);
             CellTelemetry &ct = telemetry.cells[cell];
-            ct.config = std::move(label);
+            ct.app = apps[cell].name;
+            ct.config = config_label;
             ct.sim_seconds = secondsSince(cell_start);
             ct.worker = currentWorkerId();
             if (hooks.progress)
@@ -146,8 +143,7 @@ CacheStudy::adaptiveMeanTpiMiss() const
 CacheStudy
 runCacheStudy(const AdaptiveCacheModel &model,
               const std::vector<trace::AppProfile> &apps, uint64_t refs,
-              int max_l1_increments, int jobs, const obs::Hooks &hooks,
-              bool one_pass)
+              int max_l1_increments, int jobs, const obs::Hooks &hooks)
 {
     capAssert(!apps.empty(), "cache study needs applications");
     CAPSIM_SPAN("study.cache");
@@ -156,43 +152,19 @@ runCacheStudy(const AdaptiveCacheModel &model,
     for (int k = 1; k <= max_l1_increments; ++k)
         study.timings.push_back(model.boundaryTiming(k));
 
-    obs::Hooks sinks = obs::effectiveHooks(hooks);
-    size_t configs = static_cast<size_t>(max_l1_increments);
-    study.perf.assign(apps.size(), std::vector<CachePerf>(configs));
-    if (one_pass) {
-        // One stack-distance pass per application scores every
-        // boundary; each per-app cell emits its boundaries' Cell
-        // records in ascending-k order, so the serially merged trace
-        // matches the per-config path byte for byte.
-        runStudyCells(study.telemetry, "cache-sweep", apps.size(), 1,
-                      jobs, sinks,
-                      [&](size_t a, size_t, obs::DecisionTrace *trace,
-                          obs::CounterRegistry *registry) {
-                          study.perf[a] = model.sweepOnePassObserved(
-                              apps[a], max_l1_increments, refs, trace,
-                              registry);
-                          study.telemetry.cells[a].app = apps[a].name;
-                          return "onepass x" +
-                                 std::to_string(max_l1_increments);
-                      });
-    } else {
-        runStudyCells(study.telemetry, "cache-sweep", apps.size(),
-                      configs, jobs, sinks,
-                      [&](size_t a, size_t c, obs::DecisionTrace *trace,
-                          obs::CounterRegistry *registry) {
-                          int k = static_cast<int>(c) + 1;
-                          study.perf[a][c] = model.evaluateObserved(
-                              apps[a], k, refs, trace, registry);
-                          study.telemetry.cells[a * configs + c].app =
-                              apps[a].name;
-                          return std::to_string(
-                                     study.timings[c].l1_bytes / 1024) +
-                                 "KB/" +
-                                 std::to_string(
-                                     study.timings[c].l1_assoc) +
-                                 "way";
-                      });
-    }
+    // Each cell emits its boundaries' Cell records in ascending-k
+    // order, so the serially merged trace lists every (app, boundary)
+    // in the order one evaluateObserved() per pair would.
+    study.perf.resize(apps.size());
+    runStudyCells(study.telemetry, "cache-sweep", apps,
+                  "onepass x" + std::to_string(max_l1_increments), jobs,
+                  obs::effectiveHooks(hooks),
+                  [&](size_t a, obs::DecisionTrace *trace,
+                      obs::CounterRegistry *registry) {
+                      study.perf[a] = model.sweepObserved(
+                          apps[a], max_l1_increments, refs, trace,
+                          registry);
+                  });
     study.selection = selectConfigurations(study.tpiMatrix());
     return study;
 }
@@ -213,8 +185,7 @@ IqStudy::tpiMatrix() const
 IqStudy
 runIqStudy(const AdaptiveIqModel &model,
            const std::vector<trace::AppProfile> &apps,
-           uint64_t instructions, int jobs, const obs::Hooks &hooks,
-           bool one_pass)
+           uint64_t instructions, int jobs, const obs::Hooks &hooks)
 {
     capAssert(!apps.empty(), "IQ study needs applications");
     CAPSIM_SPAN("study.iq");
@@ -222,38 +193,19 @@ runIqStudy(const AdaptiveIqModel &model,
     study.apps = apps;
     study.timings = model.allTimings();
 
-    obs::Hooks sinks = obs::effectiveHooks(hooks);
-    std::vector<int> sizes = AdaptiveIqModel::studySizes();
-    size_t configs = sizes.size();
-    study.perf.assign(apps.size(), std::vector<IqPerf>(configs));
-    if (one_pass) {
-        // One shared-stream sweep per application scores every queue
-        // size; each per-app cell emits its sizes' Interval records
-        // in ascending-size order, so the serially merged trace
-        // matches the per-config path byte for byte.
-        runStudyCells(study.telemetry, "iq-sweep", apps.size(), 1,
-                      jobs, sinks,
-                      [&](size_t a, size_t, obs::DecisionTrace *trace,
-                          obs::CounterRegistry *registry) {
-                          study.perf[a] = model.sweepOnePassObserved(
-                              apps[a], instructions,
-                              kIntervalInstructions, trace, registry);
-                          study.telemetry.cells[a].app = apps[a].name;
-                          return "onepass x" + std::to_string(configs);
-                      });
-    } else {
-        runStudyCells(study.telemetry, "iq-sweep", apps.size(),
-                      configs, jobs, sinks,
-                      [&](size_t a, size_t c, obs::DecisionTrace *trace,
-                          obs::CounterRegistry *registry) {
-                          study.perf[a][c] = model.evaluateObserved(
-                              apps[a], sizes[c], instructions,
-                              kIntervalInstructions, trace, registry);
-                          study.telemetry.cells[a * configs + c].app =
-                              apps[a].name;
-                          return std::to_string(sizes[c]) + " entries";
-                      });
-    }
+    // Each cell emits its sizes' Interval records in ascending-size
+    // order, so the serially merged trace lists every (app, size) in
+    // the order one evaluateObserved() per pair would.
+    study.perf.resize(apps.size());
+    runStudyCells(study.telemetry, "iq-sweep", apps,
+                  "onepass x" + std::to_string(study.timings.size()), jobs,
+                  obs::effectiveHooks(hooks),
+                  [&](size_t a, obs::DecisionTrace *trace,
+                      obs::CounterRegistry *registry) {
+                      study.perf[a] = model.sweepObserved(
+                          apps[a], instructions, kIntervalInstructions,
+                          trace, registry);
+                  });
     study.selection = selectConfigurations(study.tpiMatrix());
     return study;
 }

@@ -8,12 +8,13 @@
  * conventional methodology would ship) and the process-level adaptive
  * choice (per-application argmin).
  *
- * The (app x config) cells of a study are independent simulations
- * (each owns its stream, seeded from the application profile), so the
- * runners fan them across a work-stealing thread pool when @p jobs
- * exceeds 1.  Cells write into pre-sized result matrices -- no locks
- * on the hot path -- and the result is bit-identical to the serial
- * (jobs = 1) path for every thread count.
+ * Each application is one cell: a one-pass sweep (its own stream,
+ * seeded from the application profile) scores every configuration at
+ * once, bit-identically to evaluating each configuration alone
+ * (docs/PERF.md).  The runners fan the cells across a work-stealing
+ * thread pool when @p jobs exceeds 1.  Cells write into pre-sized
+ * result matrices -- no locks on the hot path -- and the result is
+ * bit-identical to the serial (jobs = 1) path for every thread count.
  */
 
 #ifndef CAPSIM_CORE_EXPERIMENT_H
@@ -52,29 +53,24 @@ struct CacheStudy
 };
 
 /**
- * Run the cache study over @p apps.
+ * Run the cache study over @p apps: one stack-distance pass per
+ * application (AdaptiveCacheModel::sweepObserved) scores all its
+ * boundaries.  Perf matrices, selection and Cell trace records equal
+ * one evaluateObserved() per (app, boundary) bit for bit; telemetry
+ * has one cell per application (config "onepass x<N>"), and the
+ * `cache.service_way` histogram is not recorded.
  * @param refs References simulated per (application, configuration).
  * @param max_l1_increments Largest boundary swept (paper: 8 = 64 KB).
- * @param jobs Worker threads the (app, config) cells fan across;
+ * @param jobs Worker threads the per-application cells fan across;
  *        results are bit-identical for every value.
  * @param hooks Observation sinks; each cell records into a private
  *        buffer and the buffers are merged serially in cell order, so
  *        the trace too is bit-identical for every @p jobs.
- * @param one_pass Score all boundaries of an application from one
- *        stack-distance pass (AdaptiveCacheModel::sweepOnePassObserved)
- *        instead of one simulation per (app, config) cell.  The
- *        resulting study -- perf matrices, selection, Cell trace
- *        records -- is bit-identical to the per-config path (the
- *        reconstruction is exact; docs/PERF.md), at roughly
- *        1/max_l1_increments the simulation cost.  Telemetry then has
- *        one cell per application (config "onepass x<N>"), and the
- *        `cache.service_way` histogram is not recorded.
  */
 CacheStudy runCacheStudy(const AdaptiveCacheModel &model,
                          const std::vector<trace::AppProfile> &apps,
                          uint64_t refs, int max_l1_increments = 8,
-                         int jobs = 1, const obs::Hooks &hooks = {},
-                         bool one_pass = true);
+                         int jobs = 1, const obs::Hooks &hooks = {});
 
 /** Complete result of the instruction-queue study (Figures 10-11). */
 struct IqStudy
@@ -91,24 +87,22 @@ struct IqStudy
 };
 
 /**
- * Run the instruction-queue study over @p apps.
+ * Run the instruction-queue study over @p apps: one shared-stream
+ * sweep per application (AdaptiveIqModel::sweepObserved) scores every
+ * queue size.  Perf matrices, selection, Interval trace records,
+ * counters and occupancy histograms equal one evaluateObserved() per
+ * (app, size) bit for bit (docs/PERF.md); telemetry has one cell per
+ * application (config "onepass x<N>").
  * @param instructions Instructions simulated per (app, configuration).
- * @param jobs Worker threads the (app, config) cells fan across;
+ * @param jobs Worker threads the per-application cells fan across;
  *        results are bit-identical for every value.
  * @param hooks Observation sinks; per-cell buffers merged serially in
  *        cell order (bit-identical trace for every @p jobs).
- * @param one_pass Score every queue size of an application from one
- *        shared-stream sweep (AdaptiveIqModel::sweepOnePassObserved)
- *        instead of one CoreModel run per (app, config) cell.  The
- *        study -- perf matrices, selection, Interval trace records,
- *        counters, occupancy histograms -- is bit-identical to the
- *        per-config path (docs/PERF.md); telemetry then has one cell
- *        per application (config "onepass x<N>").
  */
 IqStudy runIqStudy(const AdaptiveIqModel &model,
                    const std::vector<trace::AppProfile> &apps,
                    uint64_t instructions, int jobs = 1,
-                   const obs::Hooks &hooks = {}, bool one_pass = true);
+                   const obs::Hooks &hooks = {});
 
 } // namespace cap::core
 

@@ -6,25 +6,15 @@
 #include "cache/exclusive_hierarchy.h"
 #include "cache/stack_sim.h"
 #include "trace/stream.h"
-#include "util/parallel.h"
 #include "util/status.h"
 
 namespace cap::core {
 
 namespace {
 
-/** Time and retirement of one interval at one boundary. */
-struct IntervalCost
-{
-    double time_ns = 0.0;
-    uint64_t instructions = 0;
-    /** Miss stall measured by a dram clock (0 under flat), ns. */
-    Nanoseconds mem_stall_ns = 0.0;
-};
-
 /** Price one interval's stats @p delta at @p timing, taking the miss
  *  stall @p clock accrued over it. */
-IntervalCost
+CacheIntervalCost
 priceInterval(const AdaptiveCacheModel &model,
               const cache::CacheStats &delta,
               const CacheBoundaryTiming &timing, double refs_per_instr,
@@ -42,7 +32,7 @@ priceInterval(const AdaptiveCacheModel &model,
 /** Run one interval of @p interval_refs on a live hierarchy, pricing
  *  misses on @p clock (its DRAM state and time carry across
  *  intervals). */
-IntervalCost
+CacheIntervalCost
 runInterval(const AdaptiveCacheModel &model,
             cache::ExclusiveHierarchy &hierarchy,
             trace::SyntheticTraceSource &source, uint64_t interval_refs,
@@ -59,7 +49,7 @@ runInterval(const AdaptiveCacheModel &model,
 /** Credit one interval run at @p boundary to a controller's
  *  @p result; returns the interval's TPI. */
 double
-credit(CacheIntervalResult &result, const IntervalCost &cost,
+credit(CacheIntervalResult &result, const CacheIntervalCost &cost,
        uint64_t refs, int boundary)
 {
     result.total_time_ns += cost.time_ns;
@@ -124,7 +114,7 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
     };
 
     auto measureInterval = [&]() {
-        IntervalCost cost =
+        CacheIntervalCost cost =
             runInterval(*model_, hierarchy, source, params_.interval_refs,
                         model_->boundaryTiming(current),
                         app.cache.refs_per_instr, clock);
@@ -250,7 +240,7 @@ PhasePredictiveCache::run(const trace::AppProfile &app, uint64_t refs,
 
     uint64_t total_intervals = refs / params_.interval_refs;
     for (uint64_t interval = 0; interval < total_intervals; ++interval) {
-        IntervalCost cost =
+        CacheIntervalCost cost =
             runInterval(*model_, hierarchy, source, params_.interval_refs,
                         model_->boundaryTiming(current),
                         app.cache.refs_per_instr, clock);
@@ -323,105 +313,74 @@ PhasePredictiveCache::run(const trace::AppProfile &app, uint64_t refs,
     return result;
 }
 
+std::vector<std::vector<CacheIntervalCost>>
+cacheIntervalOracleCosts(const AdaptiveCacheModel &model,
+                         const trace::AppProfile &app, uint64_t refs,
+                         const std::vector<int> &boundaries,
+                         uint64_t interval_refs)
+{
+    capAssert(!boundaries.empty(), "oracle needs boundaries");
+    capAssert(interval_refs > 0, "empty interval");
+    CAPSIM_SPAN("oracle.onepass");
+
+    // Each interval's statsFor() delta and lane stall are the inputs
+    // runInterval() prices on a live hierarchy.
+    uint64_t full_intervals = refs / interval_refs;
+    uint64_t tail_refs = refs % interval_refs;
+    uint64_t total_intervals = full_intervals + (tail_refs ? 1 : 0);
+    std::vector<std::vector<CacheIntervalCost>> costs(boundaries.size());
+    std::vector<CacheBoundaryTiming> timings;
+    std::vector<StackLane> lanes;
+    timings.reserve(boundaries.size());
+    lanes.reserve(boundaries.size());
+    for (size_t li = 0; li < boundaries.size(); ++li) {
+        timings.push_back(model.boundaryTiming(boundaries[li]));
+        lanes.push_back({model.geometry().l1Ways(boundaries[li]),
+                         MissClock(model.memConfig())});
+        lanes.back().clock.pace(timings[li], app.cache.refs_per_instr);
+        costs[li].reserve(total_intervals);
+    }
+    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
+    cache::StackSimulator stack(model.geometry());
+    std::vector<cache::CacheStats> previous_cum(boundaries.size());
+    for (uint64_t interval = 0; interval < total_intervals; ++interval) {
+        uint64_t want =
+            interval < full_intervals ? interval_refs : tail_refs;
+        walkStack(source, stack, lanes, want);
+        for (size_t li = 0; li < boundaries.size(); ++li) {
+            cache::CacheStats cum = stack.statsFor(boundaries[li]);
+            costs[li].push_back(priceInterval(
+                model, cum - previous_cum[li], timings[li],
+                app.cache.refs_per_instr, lanes[li].clock));
+            previous_cum[li] = cum;
+        }
+    }
+    return costs;
+}
+
 CacheIntervalResult
 runCacheIntervalOracle(const AdaptiveCacheModel &model,
                        const trace::AppProfile &app, uint64_t refs,
                        const std::vector<int> &boundaries,
                        uint64_t interval_refs, bool charge_switches,
-                       Cycles switch_penalty_cycles, int jobs,
-                       const obs::Hooks &hooks, bool one_pass)
+                       Cycles switch_penalty_cycles, int /*jobs*/,
+                       const obs::Hooks &hooks)
 {
-    capAssert(!boundaries.empty(), "oracle needs boundaries");
-    capAssert(interval_refs > 0, "empty interval");
-    capAssert(jobs >= 1, "oracle needs at least one worker");
-
     obs::Hooks sinks = obs::effectiveHooks(hooks);
-
+    if (sinks.progress)
+        sinks.progress->beginRun("cache-interval-oracle", 1, 1);
+    std::vector<std::vector<CacheIntervalCost>> lane_costs =
+        cacheIntervalOracleCosts(model, app, refs, boundaries,
+                                 interval_refs);
+    if (sinks.progress) {
+        sinks.progress->noteCellDone(0, 0);
+        sinks.progress->endRun();
+    }
     uint64_t full_intervals = refs / interval_refs;
     uint64_t tail_refs = refs % interval_refs;
-    uint64_t total_intervals = full_intervals + (tail_refs ? 1 : 0);
+    size_t total_intervals = lane_costs[0].size();
 
-    // Phase 1: per-candidate per-interval costs.  Both engines fill
-    // the same table; the reduction below never knows which ran.
-    std::vector<std::vector<IntervalCost>> lane_costs(boundaries.size());
-    std::vector<CacheBoundaryTiming> timings;
-    timings.reserve(boundaries.size());
-    for (int boundary : boundaries)
-        timings.push_back(model.boundaryTiming(boundary));
-
-    if (one_pass) {
-        // One trace walk through the Mattson stack engine.  statsFor()
-        // is an exact cumulative reconstruction at any point of the
-        // walk, so the delta between consecutive interval-boundary
-        // reconstructions equals the interval's stats delta on a
-        // dedicated static hierarchy bit for bit, and each candidate's
-        // MissClock lane accrues that hierarchy's stall (walkStack) --
-        // the same inputs runInterval() prices in the lane engine.
-        CAPSIM_SPAN("oracle.onepass");
-        if (sinks.progress)
-            sinks.progress->beginRun("cache-interval-oracle", 1, 1);
-        trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-        cache::StackSimulator stack(model.geometry());
-        std::vector<StackLane> lanes;
-        lanes.reserve(boundaries.size());
-        for (size_t li = 0; li < boundaries.size(); ++li) {
-            lanes.push_back({model.geometry().l1Ways(boundaries[li]),
-                             MissClock(model.memConfig())});
-            lanes.back().clock.pace(timings[li], app.cache.refs_per_instr);
-            lane_costs[li].reserve(total_intervals);
-        }
-        std::vector<cache::CacheStats> previous_cum(boundaries.size());
-        for (uint64_t interval = 0; interval < total_intervals;
-             ++interval) {
-            uint64_t want = interval < full_intervals ? interval_refs
-                                                      : tail_refs;
-            walkStack(source, stack, lanes, want);
-            for (size_t li = 0; li < boundaries.size(); ++li) {
-                cache::CacheStats cum = stack.statsFor(boundaries[li]);
-                lane_costs[li].push_back(priceInterval(
-                    model, cum - previous_cum[li], timings[li],
-                    app.cache.refs_per_instr, lanes[li].clock));
-                previous_cum[li] = cum;
-            }
-        }
-        if (sinks.progress) {
-            sinks.progress->noteCellDone(0, 0);
-            sinks.progress->endRun();
-        }
-    } else {
-        // One static hierarchy per boundary; lanes are independent
-        // simulations and fan across the pool, the reduction stays
-        // serial in candidate order, so results are bit-identical for
-        // every job count.
-        ThreadPool pool(jobs);
-        if (sinks.progress)
-            sinks.progress->beginRun("cache-interval-oracle",
-                                     boundaries.size(), jobs);
-        CAPSIM_SPAN("oracle.lanes");
-        parallelFor(pool, boundaries.size(), [&](size_t li) {
-            CAPSIM_SPAN("oracle.lane");
-            cache::ExclusiveHierarchy hierarchy(model.geometry(),
-                                                boundaries[li]);
-            trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-            MissClock clock(model.memConfig());
-            lane_costs[li].reserve(total_intervals);
-            for (uint64_t interval = 0; interval < total_intervals;
-                 ++interval) {
-                uint64_t want = interval < full_intervals ? interval_refs
-                                                          : tail_refs;
-                lane_costs[li].push_back(
-                    runInterval(model, hierarchy, source, want, timings[li],
-                                app.cache.refs_per_instr, clock));
-            }
-            if (sinks.progress)
-                sinks.progress->noteCellDone(currentWorkerId(), 0);
-        });
-        if (sinks.progress)
-            sinks.progress->endRun();
-    }
-
-    // Phase 2: serial winner reduction, shared by both engines; obs
-    // emission happens here only, on the orchestrator thread.
+    // Serial winner reduction; obs emission happens here only.
     CAPSIM_SPAN("oracle.reduce");
     CacheIntervalResult result;
     obs::Counter *oracle_switches =

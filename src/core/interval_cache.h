@@ -82,29 +82,47 @@ class IntervalAdaptiveCache
     CacheIntervalParams params_;
 };
 
+/** Time and retirement of one interval at one boundary. */
+struct CacheIntervalCost
+{
+    double time_ns = 0.0;
+    uint64_t instructions = 0;
+    /** Miss stall measured by a dram clock (0 under flat), ns. */
+    Nanoseconds mem_stall_ns = 0.0;
+
+    bool operator==(const CacheIntervalCost &) const = default;
+};
+
+/**
+ * The cache oracle's cost table: costs[li][interval] is what boundary
+ * @p boundaries[li] spends on each @p interval_refs -reference
+ * interval of @p refs (the last one partial when the length does not
+ * divide), held at that boundary from the start.
+ *
+ * A single walk of the trace through the Mattson stack engine
+ * (cache::StackSimulator) scores every boundary: the cumulative stats
+ * reconstruction statsFor(k) is exact at *any* point of the walk, so
+ * per-interval deltas of consecutive reconstructions equal the
+ * per-interval stats deltas of a dedicated static hierarchy bit for
+ * bit; under dram each boundary's MissClock lane (walkStack) accrues
+ * that hierarchy's per-interval stall too.  That is O(refs +
+ * intervals * ways) work instead of O(boundaries * refs) hierarchy
+ * work (docs/PERF.md).  The walk is serial.
+ */
+std::vector<std::vector<CacheIntervalCost>>
+cacheIntervalOracleCosts(const AdaptiveCacheModel &model,
+                         const trace::AppProfile &app, uint64_t refs,
+                         const std::vector<int> &boundaries,
+                         uint64_t interval_refs);
+
 /**
  * Per-interval oracle: each interval is charged the best candidate
- * boundary's time (plus @p switch_penalty_cycles at the incoming
- * clock when the winner changes, if @p charge_switches).  The final
+ * boundary's time in cacheIntervalOracleCosts()' table (ties: the
+ * earliest candidate), plus @p switch_penalty_cycles at the incoming
+ * clock when the winner changes, if @p charge_switches.  The final
  * partial interval (refs % interval_refs) is simulated and credited
- * like any other.
- *
- * With @p one_pass (the default) a single walk of the trace through
- * the Mattson stack engine (cache::StackSimulator) scores every
- * boundary: the cumulative stats reconstruction statsFor(k) is exact
- * at *any* point of the walk, so per-interval deltas of consecutive
- * reconstructions equal the per-interval stats deltas of a dedicated
- * static hierarchy bit for bit; under dram each boundary's MissClock
- * lane (walkStack) accrues that hierarchy's per-interval stall too.
- * The winner reduction -- shared with the lane engine -- then
- * produces identical results in O(refs + intervals * ways) instead of
- * O(boundaries * refs) hierarchy work (docs/PERF.md).  The walk is
- * serial; callers scale across applications instead.
- *
- * With @p one_pass off, each boundary replays the trace on its own
- * ExclusiveHierarchy, fanned across @p jobs worker threads; results
- * are bit-identical for every job count (the reduction is serial, in
- * candidate order).
+ * like any other.  The walk is serial; callers scale across
+ * applications instead.  @p jobs is ignored.
  *
  * Observation: when @p hooks carry sinks, the reduction emits one
  * Interval record per interval and a Reconfig record on winner
@@ -116,7 +134,7 @@ CacheIntervalResult runCacheIntervalOracle(
     uint64_t refs, const std::vector<int> &boundaries,
     uint64_t interval_refs, bool charge_switches,
     Cycles switch_penalty_cycles = kClockSwitchPenaltyCycles,
-    int jobs = 1, const obs::Hooks &hooks = {}, bool one_pass = true);
+    int jobs = 1, const obs::Hooks &hooks = {});
 
 /** Tunables of the phase-predictive controller. */
 struct PhasePredictorParams : CacheIntervalParams

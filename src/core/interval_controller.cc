@@ -581,136 +581,89 @@ IntervalAdaptiveIq::run(const trace::AppProfile &app, uint64_t instructions,
     return result;
 }
 
+std::vector<std::vector<IqIntervalCost>>
+intervalOracleCosts(const trace::AppProfile &app, uint64_t instructions,
+                    const std::vector<int> &candidates,
+                    uint64_t interval_instrs)
+{
+    capAssert(!candidates.empty(), "oracle needs candidates");
+    capAssert(interval_instrs > 0, "empty interval");
+    CAPSIM_SPAN("oracle.onepass");
+
+    // Each interval advances every lane to its *own* chained issue
+    // target (issued-so-far + interval length): CoreModel::step()
+    // stops at the first cycle where the issued count crosses its
+    // target and chains the next target off the overshot count, so
+    // per-lane chained advancement reproduces every lane's interval
+    // boundaries -- and hence cycle deltas -- bit-identically.
+    // Precomputed absolute marks would not: each lane's boundaries
+    // depend on its own overshoot history.
+    ooo::InstructionStream stream(app.ilp, app.seed);
+    ooo::CoreParams params;
+    params.queue_entries = candidates[0];
+    params.dispatch_width = IqMachine::kDispatchWidth;
+    params.issue_width = IqMachine::kIssueWidth;
+    ooo::WindowSweeper sweeper(stream, params, candidates);
+    // The oracle never perturbs a live machine, so the fallback
+    // replay history is dead weight; and lanes spread up to one
+    // interval apart, so the shared ring must cover that span.
+    sweeper.disableHistory();
+    sweeper.reserveSpan(interval_instrs);
+
+    uint64_t full_intervals = instructions / interval_instrs;
+    uint64_t tail_instrs = instructions % interval_instrs;
+    uint64_t total_intervals = full_intervals + (tail_instrs ? 1 : 0);
+    std::vector<std::vector<IqIntervalCost>> costs(candidates.size());
+    std::vector<size_t> lane_of(candidates.size());
+    for (size_t li = 0; li < candidates.size(); ++li) {
+        for (size_t lane = 0; lane < sweeper.laneCount(); ++lane) {
+            if (sweeper.laneEntries(lane) == candidates[li]) {
+                lane_of[li] = lane;
+                break;
+            }
+        }
+        costs[li].reserve(total_intervals);
+    }
+    for (uint64_t interval = 0; interval < total_intervals; ++interval) {
+        uint64_t instrs =
+            interval < full_intervals ? interval_instrs : tail_instrs;
+        for (size_t li = 0; li < candidates.size(); ++li) {
+            size_t lane = lane_of[li];
+            Cycles before = sweeper.laneCycles(lane);
+            sweeper.advanceLaneTo(lane, sweeper.laneIssued(lane) + instrs);
+            costs[li].push_back({sweeper.laneCycles(lane) - before, instrs});
+        }
+    }
+    return costs;
+}
+
 IntervalRunResult
 runIntervalOracle(const AdaptiveIqModel &model,
                   const trace::AppProfile &app, uint64_t instructions,
                   const std::vector<int> &candidates,
                   uint64_t interval_instrs, bool charge_switches,
-                  Cycles switch_penalty_cycles, int jobs,
-                  const obs::Hooks &hooks, bool one_pass)
+                  Cycles switch_penalty_cycles, int /*jobs*/,
+                  const obs::Hooks &hooks)
 {
-    capAssert(!candidates.empty(), "oracle needs candidates");
-    capAssert(interval_instrs > 0, "empty interval");
-    capAssert(jobs >= 1, "oracle needs at least one worker");
-
     obs::Hooks sinks = obs::effectiveHooks(hooks);
-
-    uint64_t full_intervals = instructions / interval_instrs;
-    uint64_t tail_instrs = instructions % interval_instrs;
-    uint64_t total_intervals = full_intervals + (tail_instrs ? 1 : 0);
-
-    // Each candidate lane is an independent simulation: run every lane
-    // to completion on its own worker, recording per-interval costs,
-    // then reduce the winners serially.  Lane order in the reduction
-    // is fixed, so the result is bit-identical for every job count.
-    struct IntervalCost
-    {
-        Cycles cycles;
-        uint64_t instructions;
-    };
-    std::vector<std::vector<IntervalCost>> lane_costs(candidates.size());
-    std::vector<Nanoseconds> lane_cycle_ns(candidates.size());
-    std::vector<double> lane_seconds(candidates.size(), 0.0);
-    std::vector<int> lane_workers(candidates.size(), 0);
-    for (size_t li = 0; li < candidates.size(); ++li)
-        lane_cycle_ns[li] = model.cycleNs(candidates[li]);
-
+    if (sinks.progress)
+        sinks.progress->beginRun("interval-oracle", 1, 1);
     SteadyClock::time_point start = SteadyClock::now();
-    std::unique_ptr<ThreadPool> pool;
-    if (one_pass) {
-        // One walk of the op stream scores every candidate.  Each
-        // interval advances every lane to its *own* chained issue
-        // target (issued-so-far + interval length): CoreModel::step()
-        // stops at the first cycle where the issued count crosses its
-        // target and chains the next target off the overshot count, so
-        // per-lane chained advancement reproduces every lane's
-        // interval boundaries -- and hence cycle deltas --
-        // bit-identically.  Precomputed absolute marks would not: each
-        // lane's boundaries depend on its own overshoot history.
-        CAPSIM_SPAN("oracle.onepass");
-        if (sinks.progress)
-            sinks.progress->beginRun("interval-oracle", 1, 1);
-        SteadyClock::time_point walk_start = SteadyClock::now();
-        ooo::InstructionStream stream(app.ilp, app.seed);
-        ooo::CoreParams params;
-        params.queue_entries = candidates[0];
-        params.dispatch_width = IqMachine::kDispatchWidth;
-        params.issue_width = IqMachine::kIssueWidth;
-        ooo::WindowSweeper sweeper(stream, params, candidates);
-        // The oracle never perturbs a live machine, so the fallback
-        // replay history is dead weight; and lanes spread up to one
-        // interval apart, so the shared ring must cover that span.
-        sweeper.disableHistory();
-        sweeper.reserveSpan(interval_instrs);
-        std::vector<size_t> lane_of(candidates.size());
-        for (size_t li = 0; li < candidates.size(); ++li) {
-            for (size_t lane = 0; lane < sweeper.laneCount(); ++lane) {
-                if (sweeper.laneEntries(lane) == candidates[li]) {
-                    lane_of[li] = lane;
-                    break;
-                }
-            }
-            lane_costs[li].reserve(total_intervals);
-        }
-        for (uint64_t interval = 0; interval < total_intervals;
-             ++interval) {
-            uint64_t instrs = interval < full_intervals ? interval_instrs
-                                                        : tail_instrs;
-            for (size_t li = 0; li < candidates.size(); ++li) {
-                size_t lane = lane_of[li];
-                Cycles before = sweeper.laneCycles(lane);
-                sweeper.advanceLaneTo(lane,
-                                      sweeper.laneIssued(lane) + instrs);
-                lane_costs[li].push_back(
-                    {sweeper.laneCycles(lane) - before, instrs});
-            }
-        }
-        lane_seconds[0] = secondsSince(walk_start);
-        if (sinks.progress) {
-            sinks.progress->noteCellDone(
-                0, static_cast<uint64_t>(lane_seconds[0] * 1e9));
-            sinks.progress->endRun();
-        }
-    } else {
-        pool = std::make_unique<ThreadPool>(jobs);
-        if (sinks.progress)
-            sinks.progress->beginRun("interval-oracle", candidates.size(),
-                                     jobs);
-        {
-            CAPSIM_SPAN("oracle.lanes");
-            parallelFor(*pool, candidates.size(), [&](size_t li) {
-                CAPSIM_SPAN("oracle.lane");
-                SteadyClock::time_point lane_start = SteadyClock::now();
-                ooo::InstructionStream stream(app.ilp, app.seed);
-                ooo::CoreParams params;
-                params.queue_entries = candidates[li];
-                params.dispatch_width = IqMachine::kDispatchWidth;
-                params.issue_width = IqMachine::kIssueWidth;
-                ooo::CoreModel core(stream, params);
-
-                std::vector<IntervalCost> &costs = lane_costs[li];
-                costs.reserve(total_intervals);
-                for (uint64_t interval = 0; interval < full_intervals;
-                     ++interval) {
-                    ooo::RunResult run = core.step(interval_instrs);
-                    costs.push_back({run.cycles, run.instructions});
-                }
-                if (tail_instrs) {
-                    ooo::RunResult run = core.step(tail_instrs);
-                    costs.push_back({run.cycles, run.instructions});
-                }
-                lane_seconds[li] = secondsSince(lane_start);
-                lane_workers[li] = currentWorkerId();
-                if (sinks.progress)
-                    sinks.progress->noteCellDone(
-                        lane_workers[li],
-                        static_cast<uint64_t>(lane_seconds[li] * 1e9));
-            });
-        }
-        if (sinks.progress)
-            sinks.progress->endRun();
+    std::vector<std::vector<IqIntervalCost>> lane_costs =
+        intervalOracleCosts(app, instructions, candidates,
+                            interval_instrs);
+    double walk_seconds = secondsSince(start);
+    if (sinks.progress) {
+        sinks.progress->noteCellDone(
+            0, static_cast<uint64_t>(walk_seconds * 1e9));
+        sinks.progress->endRun();
     }
     CAPSIM_SPAN("oracle.reduce");
+
+    std::vector<Nanoseconds> lane_cycle_ns;
+    for (int entries : candidates)
+        lane_cycle_ns.push_back(model.cycleNs(entries));
+    size_t total_intervals = lane_costs[0].size();
 
     // Serial winner reduction; the trace (like the result) is emitted
     // here, on the orchestrator thread only.
@@ -799,24 +752,13 @@ runIntervalOracle(const AdaptiveIqModel &model,
         previous_winner = winner;
     }
 
-    result.telemetry.jobs = pool ? pool->threadCount() : 1;
+    result.telemetry.jobs = 1;
     result.telemetry.wall_seconds = secondsSince(start);
-    if (pool)
-        result.telemetry.recordPool(*pool);
     result.telemetry.reconfigurations =
         static_cast<uint64_t>(result.reconfigurations);
-    if (one_pass) {
-        result.telemetry.cells.push_back(
-            {app.name,
-             "onepass x" + std::to_string(candidates.size()),
-             lane_seconds[0], lane_workers[0]});
-    } else {
-        for (size_t li = 0; li < candidates.size(); ++li) {
-            result.telemetry.cells.push_back(
-                {app.name, std::to_string(candidates[li]) + " entries",
-                 lane_seconds[li], lane_workers[li]});
-        }
-    }
+    result.telemetry.cells.push_back(
+        {app.name, "onepass x" + std::to_string(candidates.size()),
+         walk_seconds, 0});
     return result;
 }
 

@@ -156,39 +156,53 @@ class IntervalAdaptiveIq
     IntervalPolicyParams params_;
 };
 
+/** Cost of one interval at one candidate queue size. */
+struct IqIntervalCost
+{
+    Cycles cycles = 0;
+    uint64_t instructions = 0;
+
+    bool operator==(const IqIntervalCost &) const = default;
+};
+
+/**
+ * The interval oracle's cost table: costs[li][interval] is what
+ * candidate @p candidates[li] spends on each @p interval_instrs
+ * -instruction interval of @p instructions (the last one partial when
+ * the length does not divide), run at that size from the start.
+ *
+ * A single ooo::WindowSweeper walk scores every candidate: each
+ * counterfactual lane advances through every interval to its own
+ * chained issue target (exactly the stop rule of CoreModel::step(),
+ * overshoot chaining included), so every entry is bit-identical to
+ * what a dedicated CoreModel stepping interval by interval measures,
+ * while the op stream is walked once instead of once per candidate
+ * (docs/PERF.md).  The walk is serial.
+ */
+std::vector<std::vector<IqIntervalCost>>
+intervalOracleCosts(const trace::AppProfile &app, uint64_t instructions,
+                    const std::vector<int> &candidates,
+                    uint64_t interval_instrs);
+
 /**
  * Per-interval oracle: for each interval, charge the time of the best
- * candidate configuration.  When @p charge_switches is set,
+ * candidate configuration in intervalOracleCosts()' table (ties: the
+ * earliest candidate).  When @p charge_switches is set,
  * @p switch_penalty_cycles cycles at the new clock are charged
- * whenever the winning configuration changes.
- *
- * With @p one_pass (the default) a single ooo::WindowSweeper walk
- * scores every candidate: each counterfactual lane advances through
- * every interval to its own chained issue target (exactly the stop
- * rule of CoreModel::step(), overshoot chaining included), so the
- * per-interval (cycles, instructions) table -- and therefore the
- * winner reduction, trace, counters and result -- is bit-identical to
- * the per-candidate lane oracle while walking the op stream once
- * instead of once per candidate (docs/PERF.md).  The walk is serial;
+ * whenever the winning configuration changes.  The walk is serial;
  * callers scale across applications or representatives instead.
- *
- * With @p one_pass off, the candidate lanes are independent CoreModel
- * simulations fanned across @p jobs worker threads; results are
- * bit-identical for every job count (the winner reduction is serial,
- * in candidate order).
+ * @p jobs is ignored.
  *
  * Observation: when @p hooks carry sinks, the serial reduction emits
  * one Interval record per interval (the winning lane's cost) and a
- * Reconfig record whenever the winner changes; emission happens on
- * the orchestrator thread only, so the trace is identical for every
- * @p jobs and for both engines.
+ * Reconfig record whenever the winner changes.
  */
 IntervalRunResult runIntervalOracle(
     const AdaptiveIqModel &model, const trace::AppProfile &app,
     uint64_t instructions, const std::vector<int> &candidates,
     uint64_t interval_instrs, bool charge_switches,
     Cycles switch_penalty_cycles = kClockSwitchPenaltyCycles,
-    int jobs = 1, const obs::Hooks &hooks = {}, bool one_pass = true);
+    int jobs = 1, const obs::Hooks &hooks = {});
 
 } // namespace cap::core
 

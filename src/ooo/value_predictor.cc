@@ -35,8 +35,10 @@ StrideValuePredictor::predictAndUpdate(const ValueRecord &record)
 
     // Update: track the new stride; confidence follows correctness of
     // the *stride hypothesis* whether or not it was confident yet.
-    int64_t new_stride = static_cast<int64_t>(record.value) -
-                         static_cast<int64_t>(entry.last_value);
+    // Subtract unsigned (modular), then convert: the signed difference
+    // of two arbitrary 64-bit values can overflow.
+    int64_t new_stride =
+        static_cast<int64_t>(record.value - entry.last_value);
     if (correct) {
         if (entry.confidence < 3)
             ++entry.confidence;

@@ -20,11 +20,10 @@ secondsSince(SteadyClock::time_point start)
         .count();
 }
 
-/** One (app, config, representative) simulation unit. */
+/** One (app, representative) simulation unit. */
 struct RepCell
 {
     size_t app;
-    size_t config;
     size_t rep;
 };
 
@@ -84,7 +83,7 @@ runSampledCacheStudy(const core::AdaptiveCacheModel &model,
                      const std::vector<trace::AppProfile> &apps,
                      uint64_t refs, const SampleParams &params,
                      int max_l1_increments, int jobs,
-                     const obs::Hooks &hooks, bool one_pass)
+                     const obs::Hooks &hooks)
 {
     capAssert(!apps.empty(), "sampled cache study needs applications");
     capAssert(jobs >= 1, "study needs at least one worker");
@@ -121,25 +120,21 @@ runSampledCacheStudy(const core::AdaptiveCacheModel &model,
     if (sinks.progress)
         sinks.progress->endRun();
 
-    // Phase 2: replay.  Per-config mode fans the (app, config) chains
-    // across the pool (the stale-state warmup makes one
-    // configuration's representatives a sequential chain, so the chain
-    // is the parallel unit).  One-pass mode replays each application's
-    // chain once through the stack-distance engine and reconstructs
-    // every boundary's measurements from it -- bit-identical by
-    // construction (docs/PERF.md), so phase 3 is shared unchanged.
+    // Phase 2: replay each application's chain once (the stale-state
+    // warmup makes its representatives a sequential chain, so the
+    // chain is the parallel unit) through the stack-distance engine,
+    // reconstructing every boundary's measurements from it --
+    // bit-identical to one chain per boundary (docs/PERF.md).
     size_t configs = static_cast<size_t>(max_l1_increments);
     std::vector<std::vector<std::vector<CacheRepMeasurement>>> meas(
-        apps.size(),
-        std::vector<std::vector<CacheRepMeasurement>>(configs));
+        apps.size());
     size_t rep_sims = 0;
     for (size_t a = 0; a < apps.size(); ++a)
-        rep_sims += samplers[a]->repCount() * (one_pass ? 1 : configs);
+        rep_sims += samplers[a]->repCount();
     if (sinks.progress)
-        sinks.progress->beginRun(
-            "sample-cache/replay",
-            one_pass ? apps.size() : apps.size() * configs, jobs);
-    if (one_pass) {
+        sinks.progress->beginRun("sample-cache/replay", apps.size(),
+                                 jobs);
+    {
         CAPSIM_SPAN("sample.replay");
         study.telemetry.cells.assign(apps.size(), {});
         parallelFor(pool, apps.size(), [&](size_t a) {
@@ -150,26 +145,6 @@ runSampledCacheStudy(const core::AdaptiveCacheModel &model,
             ct.app = apps[a].name;
             ct.config =
                 "onepass x" + std::to_string(max_l1_increments);
-            ct.sim_seconds = secondsSince(cell_start);
-            ct.worker = currentWorkerId();
-            if (sinks.progress)
-                sinks.progress->noteCellDone(
-                    ct.worker,
-                    static_cast<uint64_t>(ct.sim_seconds * 1e9));
-        });
-    } else {
-        CAPSIM_SPAN("sample.replay");
-        study.telemetry.cells.assign(apps.size() * configs, {});
-        parallelFor(pool, apps.size() * configs, [&](size_t i) {
-            CAPSIM_SPAN("sample.replay.cell");
-            size_t a = i / configs;
-            size_t c = i % configs;
-            SteadyClock::time_point cell_start = SteadyClock::now();
-            meas[a][c] =
-                samplers[a]->measureConfig(static_cast<int>(c) + 1);
-            core::CellTelemetry &ct = study.telemetry.cells[i];
-            ct.app = apps[a].name;
-            ct.config = cacheConfigLabel(study.timings[c]);
             ct.sim_seconds = secondsSince(cell_start);
             ct.worker = currentWorkerId();
             if (sinks.progress)
@@ -233,7 +208,7 @@ runSampledCacheStudy(const core::AdaptiveCacheModel &model,
     }
     foldSampleCounters(sinks.registry, intervals, clusters, rep_sims,
                        warmup_total, study.simulatedRefs(), "refs");
-    if (one_pass && sinks.registry) {
+    if (sinks.registry) {
         sinks.registry->counter("stacksim.sweeps").add(apps.size());
         sinks.registry->counter("stacksim.boundaries")
             .add(apps.size() * configs);
@@ -269,7 +244,7 @@ SampledIqStudy
 runSampledIqStudy(const core::AdaptiveIqModel &model,
                   const std::vector<trace::AppProfile> &apps,
                   uint64_t instructions, const SampleParams &params,
-                  int jobs, const obs::Hooks &hooks, bool one_pass)
+                  int jobs, const obs::Hooks &hooks)
 {
     capAssert(!apps.empty(), "sampled IQ study needs applications");
     capAssert(jobs >= 1, "study needs at least one worker");
@@ -305,26 +280,18 @@ runSampledIqStudy(const core::AdaptiveIqModel &model,
     if (sinks.progress)
         sinks.progress->endRun();
 
-    // Phase 2: replay.  Per-config mode fans every (app, config, rep)
-    // triple across the pool; one-pass mode fans (app, rep) chains,
-    // each replaying its warmup+measure window once through a
-    // WindowSweeper lane per queue size -- measurements bit-identical
-    // by construction (docs/PERF.md), so phase 3 is shared unchanged.
+    // Phase 2: replay.  Fan the (app, rep) chains, each replaying its
+    // warmup+measure window once through a WindowSweeper lane per
+    // queue size -- measurements bit-identical to one replay per size
+    // (docs/PERF.md).
     std::vector<RepCell> cells;
     std::vector<std::vector<std::vector<IqRepMeasurement>>> meas(
         apps.size());
     for (size_t a = 0; a < apps.size(); ++a) {
         meas[a].assign(configs, std::vector<IqRepMeasurement>(
                                     samplers[a]->repCount()));
-        if (one_pass) {
-            for (size_t r = 0; r < samplers[a]->repCount(); ++r)
-                cells.push_back({a, 0, r});
-        } else {
-            for (size_t c = 0; c < configs; ++c) {
-                for (size_t r = 0; r < samplers[a]->repCount(); ++r)
-                    cells.push_back({a, c, r});
-            }
-        }
+        for (size_t r = 0; r < samplers[a]->repCount(); ++r)
+            cells.push_back({a, r});
     }
     study.telemetry.cells.assign(cells.size(), {});
     if (sinks.progress)
@@ -335,21 +302,13 @@ runSampledIqStudy(const core::AdaptiveIqModel &model,
             CAPSIM_SPAN("sample.replay.cell");
             const RepCell &cell = cells[i];
             SteadyClock::time_point cell_start = SteadyClock::now();
+            std::vector<IqRepMeasurement> per_cfg =
+                samplers[cell.app]->measureRepAllConfigs(cell.rep);
+            for (size_t c = 0; c < configs; ++c)
+                meas[cell.app][c][cell.rep] = per_cfg[c];
             core::CellTelemetry &ct = study.telemetry.cells[i];
-            if (one_pass) {
-                std::vector<IqRepMeasurement> per_cfg =
-                    samplers[cell.app]->measureRepAllConfigs(cell.rep);
-                for (size_t c = 0; c < configs; ++c)
-                    meas[cell.app][c][cell.rep] = per_cfg[c];
-                ct.config = "onepass x" + std::to_string(configs) + "#rep" +
-                            std::to_string(cell.rep);
-            } else {
-                meas[cell.app][cell.config][cell.rep] =
-                    samplers[cell.app]->measureRep(sizes[cell.config],
-                                                   cell.rep);
-                ct.config = std::to_string(sizes[cell.config]) +
-                            " entries#rep" + std::to_string(cell.rep);
-            }
+            ct.config = "onepass x" + std::to_string(configs) + "#rep" +
+                        std::to_string(cell.rep);
             ct.app = apps[cell.app].name;
             ct.sim_seconds = secondsSince(cell_start);
             ct.worker = currentWorkerId();
@@ -419,7 +378,7 @@ runSampledIqStudy(const core::AdaptiveIqModel &model,
     }
     foldSampleCounters(sinks.registry, intervals, clusters, cells.size(),
                        warmup_total, study.simulatedInstrs(), "instrs");
-    if (one_pass && sinks.registry) {
+    if (sinks.registry) {
         sinks.registry->counter("windowsweep.sweeps").add(cells.size());
         sinks.registry->counter("windowsweep.lanes")
             .add(cells.size() * configs);
@@ -434,7 +393,7 @@ runSampledIntervalOracle(const core::AdaptiveIqModel &model,
                          const std::vector<int> &candidates,
                          const SampleParams &params, bool charge_switches,
                          Cycles switch_penalty_cycles, int jobs,
-                         const obs::Hooks &hooks, bool one_pass)
+                         const obs::Hooks &hooks)
 {
     capAssert(!candidates.empty(), "oracle needs candidates");
     capAssert(jobs >= 1, "oracle needs at least one worker");
@@ -455,42 +414,30 @@ runSampledIntervalOracle(const core::AdaptiveIqModel &model,
     core::IntervalRunResult result;
     result.instructions = instructions;
     result.telemetry.jobs = jobs;
-    size_t n_cells = one_pass ? n_rep : n_cand * n_rep;
-    result.telemetry.cells.assign(n_cells, {});
+    result.telemetry.cells.assign(n_rep, {});
 
-    // Replay: per-config mode measures every (candidate, rep) cell
-    // independently; one-pass mode replays each representative once,
-    // scoring the whole candidate list in a single warmup+measure
-    // chain (bit-identical by construction, see measureRepConfigs).
-    // Either way the lanes share the sampler (const) and write
-    // disjoint slots.
+    // Replay each representative once, scoring the whole candidate
+    // list in a single warmup+measure chain (bit-identical to one
+    // replay per candidate, see measureRepConfigs).  The chains share
+    // the sampler (const) and write disjoint slots.
     std::vector<std::vector<IqRepMeasurement>> meas(
         n_cand, std::vector<IqRepMeasurement>(n_rep));
     SteadyClock::time_point start = SteadyClock::now();
     ThreadPool pool(jobs);
     if (sinks.progress)
-        sinks.progress->beginRun("sample-oracle/replay", n_cells, jobs);
+        sinks.progress->beginRun("sample-oracle/replay", n_rep, jobs);
     {
         CAPSIM_SPAN("sample.replay");
-        parallelFor(pool, n_cells, [&](size_t i) {
+        parallelFor(pool, n_rep, [&](size_t i) {
             CAPSIM_SPAN("sample.replay.cell");
             SteadyClock::time_point cell_start = SteadyClock::now();
+            std::vector<IqRepMeasurement> per_cand =
+                sampler.measureRepConfigs(candidates, i);
+            for (size_t cand = 0; cand < n_cand; ++cand)
+                meas[cand][i] = per_cand[cand];
             core::CellTelemetry &ct = result.telemetry.cells[i];
-            if (one_pass) {
-                std::vector<IqRepMeasurement> per_cand =
-                    sampler.measureRepConfigs(candidates, i);
-                for (size_t cand = 0; cand < n_cand; ++cand)
-                    meas[cand][i] = per_cand[cand];
-                ct.config = "onepass x" + std::to_string(n_cand) +
-                            "#rep" + std::to_string(i);
-            } else {
-                size_t cand = i / n_rep;
-                size_t rep = i % n_rep;
-                meas[cand][rep] =
-                    sampler.measureRep(candidates[cand], rep);
-                ct.config = std::to_string(candidates[cand]) +
-                            " entries#rep" + std::to_string(rep);
-            }
+            ct.config = "onepass x" + std::to_string(n_cand) + "#rep" +
+                        std::to_string(i);
             ct.app = app.name;
             ct.sim_seconds = secondsSince(cell_start);
             ct.worker = currentWorkerId();
@@ -559,9 +506,9 @@ runSampledIntervalOracle(const core::AdaptiveIqModel &model,
                          sampler.profile().lengthOf(plan.reps[r].interval);
         }
     }
-    foldSampleCounters(sinks.registry, plan.num_intervals, k, n_cells,
+    foldSampleCounters(sinks.registry, plan.num_intervals, k, n_rep,
                        warmup_total, simulated, "instrs");
-    if (one_pass && sinks.registry) {
+    if (sinks.registry) {
         sinks.registry->counter("windowsweep.sweeps").add(n_rep);
         sinks.registry->counter("windowsweep.lanes").add(n_rep * n_cand);
     }

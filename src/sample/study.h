@@ -8,11 +8,12 @@
  *  1. per application, profile + cluster (CacheSampler/IqSampler
  *     construction) -- applications fan across the thread pool;
  *  2. replay the representatives -- the cache study fans one
- *     (application, configuration) chain per cell (stale-state warmup
- *     makes a configuration's representatives sequential), the IQ
- *     study fans every (application, configuration, representative)
- *     triple; either way the cells are just *more* cells for the PR-1
- *     pool, written into pre-sized slots.
+ *     application's representative chain per cell (stale-state warmup
+ *     makes the representatives sequential) and scores every boundary
+ *     from it in one stack-distance pass; the IQ study fans every
+ *     (application, representative) pair and scores every queue size
+ *     from one window sweep.  Either way the cells are just *more*
+ *     cells for the study thread pool, written into pre-sized slots.
  *
  * Reconstruction, trace emission (one Representative record per
  * replayed cell) and `sample.*` registry counters all happen serially
@@ -53,22 +54,19 @@ struct SampledCacheStudy
 /**
  * Run the sampled cache study: every (app, boundary) cell estimated
  * from cluster representatives.  @p hooks and @p jobs follow the
- * runCacheStudy contract.
- * @param one_pass Replay each application's representative chain once
- *        through the stack-distance engine and reconstruct every
- *        boundary's measurements from it
- *        (CacheSampler::measureAllConfigs) instead of one chain per
- *        (app, boundary) cell.  Results, Representative trace records
- *        and `sample.*` counters are bit-identical to the per-config
- *        path (docs/PERF.md); telemetry then has one cell per
- *        application and `sample.rep_simulations` counts each
- *        representative once instead of once per boundary.
+ * runCacheStudy contract.  Each application's representative chain is
+ * replayed once through the stack-distance engine and every
+ * boundary's measurements are reconstructed from it
+ * (CacheSampler::measureAllConfigs, bit-identical to measureConfig()
+ * per boundary; docs/PERF.md).  Telemetry has one cell per
+ * application, and `sample.rep_simulations` counts each
+ * representative once.
  */
 SampledCacheStudy runSampledCacheStudy(
     const core::AdaptiveCacheModel &model,
     const std::vector<trace::AppProfile> &apps, uint64_t refs,
     const SampleParams &params, int max_l1_increments = 8, int jobs = 1,
-    const obs::Hooks &hooks = {}, bool one_pass = true);
+    const obs::Hooks &hooks = {});
 
 /** Sampled counterpart of core::IqStudy (Figures 10-11). */
 struct SampledIqStudy
@@ -86,23 +84,18 @@ struct SampledIqStudy
 };
 
 /**
- * Run the sampled instruction-queue study.
- * @param one_pass Replay each representative's warmup+measure chain
- *        once through ooo::WindowSweeper and score every queue size
- *        from it (IqSampler::measureRepAllConfigs) instead of one
- *        CoreModel replay per (app, config, rep) triple.  Results,
- *        Representative trace records and `sample.*` counters are
- *        bit-identical to the per-config path (docs/PERF.md);
- *        telemetry then has one cell per (app, rep) and
- *        `sample.rep_simulations` counts each representative once
- *        instead of once per queue size.
+ * Run the sampled instruction-queue study.  Each representative's
+ * warmup+measure chain is replayed once through ooo::WindowSweeper,
+ * scoring every queue size (IqSampler::measureRepAllConfigs,
+ * bit-identical to measureRep() per size; docs/PERF.md).  Telemetry
+ * has one cell per (app, rep), and `sample.rep_simulations` counts
+ * each representative once.
  */
 SampledIqStudy runSampledIqStudy(const core::AdaptiveIqModel &model,
                                  const std::vector<trace::AppProfile> &apps,
                                  uint64_t instructions,
                                  const SampleParams &params, int jobs = 1,
-                                 const obs::Hooks &hooks = {},
-                                 bool one_pass = true);
+                                 const obs::Hooks &hooks = {});
 
 /**
  * Sampled per-interval oracle: the representatives are measured once
@@ -115,20 +108,17 @@ SampledIqStudy runSampledIqStudy(const core::AdaptiveIqModel &model,
  * emitted -- the reconstructed sequence is cluster-quantized, not
  * measured.
  *
- * With @p one_pass (the default) each representative is replayed once
- * through IqSampler::measureRepConfigs(), scoring the whole candidate
- * list in a single warmup+measure chain; the (rep) chains fan across
- * @p jobs.  Measurements are bit-identical to measureRep(), so the
- * reduction -- shared with per-config mode -- produces identical
- * results.  With @p one_pass off, every (candidate, rep) cell is an
- * independent replay fanned across @p jobs.
+ * Each representative is replayed once through
+ * IqSampler::measureRepConfigs(), scoring the whole candidate list in
+ * a single warmup+measure chain (bit-identical to measureRep() per
+ * candidate); the representative chains fan across @p jobs.
  */
 core::IntervalRunResult runSampledIntervalOracle(
     const core::AdaptiveIqModel &model, const trace::AppProfile &app,
     uint64_t instructions, const std::vector<int> &candidates,
     const SampleParams &params, bool charge_switches,
     Cycles switch_penalty_cycles = core::kClockSwitchPenaltyCycles,
-    int jobs = 1, const obs::Hooks &hooks = {}, bool one_pass = true);
+    int jobs = 1, const obs::Hooks &hooks = {});
 
 } // namespace cap::sample
 

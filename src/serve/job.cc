@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 
 #include "core/experiment.h"
@@ -121,7 +122,6 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
         return false;
 
     spec.sampled = job.boolOr("sampled", false);
-    spec.one_pass = job.boolOr("one_pass", true);
     spec.refs = job.u64Or("refs", 150000);
     spec.instrs = job.u64Or("instrs", 120000);
     double deadline_ms = job.numberOr("deadline_ms", 0.0);
@@ -750,14 +750,13 @@ JobExecutor::run(const JobSpec &spec,
                  obs::ProgressMeter *progress)
 {
     switch (spec.kind) {
-    case JobKind::CacheSweep:
+    case JobKind::CacheSweep: {
         if (spec.sampled) {
             return runSweep<std::vector<sample::SampledCachePerf>>(
                 spec, interrupted, onCell, progress,
                 [&](const trace::AppProfile &app) {
                     return sample::runSampledCacheStudy(
-                               cache_model_, {app}, spec.refs,
-                               spec.sample, 8, 1, {}, spec.one_pass)
+                               cache_model_, {app}, spec.refs, spec.sample)
                         .perf[0];
                 },
                 encodeSampledCacheRow, decodeSampledCacheRow,
@@ -769,40 +768,26 @@ JobExecutor::run(const JobSpec &spec,
                 });
         }
         // A dram job gets a job-local model carrying its memory
-        // config; flat jobs keep using the shared flat model, so
-        // their cells stay bit-identical to pre-dram serves.
+        // config; flat jobs keep using the shared flat model, so their
+        // cells stay bit-identical to pre-dram serves.
+        std::optional<core::AdaptiveCacheModel> dram_model;
         if (spec.mem.isDram()) {
-            core::AdaptiveCacheModel dram_model;
-            dram_model.setMemConfig(spec.mem);
-            return runSweep<std::vector<core::CachePerf>>(
-                spec, interrupted, onCell, progress,
-                [&](const trace::AppProfile &app) {
-                    return core::runCacheStudy(dram_model, {app},
-                                               spec.refs, 8, 1, {},
-                                               spec.one_pass)
-                        .perf[0];
-                },
-                encodeCacheRow, decodeCacheRow,
-                [&](std::ostream &os,
-                    const std::vector<std::string> &names,
-                    const std::vector<std::vector<core::CachePerf>>
-                        &perf) {
-                    renderCacheSweep(os, names, perf, spec.refs);
-                });
+            dram_model.emplace();
+            dram_model->setMemConfig(spec.mem);
         }
+        const core::AdaptiveCacheModel &model =
+            dram_model ? *dram_model : cache_model_;
         return runSweep<std::vector<core::CachePerf>>(
             spec, interrupted, onCell, progress,
             [&](const trace::AppProfile &app) {
-                return core::runCacheStudy(cache_model_, {app},
-                                           spec.refs, 8, 1, {},
-                                           spec.one_pass)
-                    .perf[0];
+                return core::runCacheStudy(model, {app}, spec.refs).perf[0];
             },
             encodeCacheRow, decodeCacheRow,
             [&](std::ostream &os, const std::vector<std::string> &names,
                 const std::vector<std::vector<core::CachePerf>> &perf) {
                 renderCacheSweep(os, names, perf, spec.refs);
             });
+    }
     case JobKind::IqSweep:
         if (spec.sampled) {
             return runSweep<std::vector<sample::SampledIqPerf>>(
@@ -810,7 +795,7 @@ JobExecutor::run(const JobSpec &spec,
                 [&](const trace::AppProfile &app) {
                     return sample::runSampledIqStudy(
                                iq_model_, {app}, spec.instrs,
-                               spec.sample, 1, {}, spec.one_pass)
+                               spec.sample)
                         .perf[0];
                 },
                 encodeSampledIqRow, decodeSampledIqRow,
@@ -824,8 +809,7 @@ JobExecutor::run(const JobSpec &spec,
         return runSweep<std::vector<core::IqPerf>>(
             spec, interrupted, onCell, progress,
             [&](const trace::AppProfile &app) {
-                return core::runIqStudy(iq_model_, {app}, spec.instrs,
-                                        1, {}, spec.one_pass)
+                return core::runIqStudy(iq_model_, {app}, spec.instrs)
                     .perf[0];
             },
             encodeIqRow, decodeIqRow,

@@ -57,9 +57,6 @@ struct JobSpec
     uint64_t refs = 150000;
     /** Instructions per cell (IQ sweep / interval run). */
     uint64_t instrs = 120000;
-    /** One-pass sweep engines (bit-identical either way; excluded
-     *  from the cell key). */
-    bool one_pass = true;
     /** Sampling knobs (sweep kinds, when sampled). */
     sample::SampleParams sample;
     /** Miss backend (cache sweep; "mem" spec string).  Part of the
@@ -89,8 +86,8 @@ bool jobFromJson(const json::Value &job, JobSpec &spec,
 /**
  * Content-hash key of @p app's cell under @p spec: profile hash,
  * study kind, run length, configuration vector, and sampling knobs
- * when sampled.  Execution knobs (jobs, one-pass) are excluded --
- * the engines are bit-identical (docs/PERF.md).
+ * when sampled, plus the memory config under dram.  The worker
+ * count is excluded: results are bit-identical for every `jobs`.
  */
 uint64_t cellKey(const JobSpec &spec, const trace::AppProfile &app);
 

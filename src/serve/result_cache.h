@@ -7,10 +7,9 @@
  * profile (every generator parameter, the seed), the study kind, the
  * configuration vector, the run length, and -- for sampled studies --
  * the sampling knobs.  Execution knobs that provably do not change
- * the result are excluded: `--jobs N` and the one-pass engines are
- * bit-identical to their serial / per-config counterparts
- * (docs/PERF.md), so a row computed one way serves requests phrased
- * the other way.  KeyBuilder sorts its fields by name before hashing,
+ * the result are excluded: `--jobs N` is bit-identical to the serial
+ * run (docs/MODEL.md section 11), so a row computed one way serves
+ * requests phrased the other way.  KeyBuilder sorts its fields by name before hashing,
  * making the hash invariant to the order call sites append fields in.
  *
  * Values are opaque strings (the server stores canonical JSON rows

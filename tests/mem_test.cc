@@ -27,7 +27,9 @@
 #include "obs/hooks.h"
 #include "obs/registry.h"
 #include "obs/trace_reader.h"
+#include "reference.h"
 #include "serve/job.h"
+#include "serve/render.h"
 #include "trace/workloads.h"
 #include "util/json.h"
 
@@ -435,10 +437,9 @@ TEST(MemDramStudy, StudyIsJobAndEngineInvariant)
     model.setMemConfig(parseOrDie("dram"));
     std::vector<trace::AppProfile> apps = {trace::findApp("li"),
                                            trace::findApp("gcc")};
-    core::CacheStudy serial =
-        core::runCacheStudy(model, apps, 25000, 8, 1, {}, true);
+    core::CacheStudy serial = core::runCacheStudy(model, apps, 25000, 8, 1);
     core::CacheStudy fanned =
-        core::runCacheStudy(model, apps, 25000, 8, 3, {}, false);
+        reference::runCacheStudy(model, apps, 25000, 8, 3);
     ASSERT_EQ(serial.perf.size(), fanned.perf.size());
     for (size_t a = 0; a < serial.perf.size(); ++a) {
         for (size_t c = 0; c < serial.perf[a].size(); ++c) {
@@ -468,7 +469,7 @@ TEST(MemDramStudy, OnePassSweepIsExactUnderDram)
             SCOPED_TRACE(std::string(spec) + " " + app.name);
             obs::CounterRegistry swept_registry;
             obs::DecisionTrace swept_trace;
-            std::vector<core::CachePerf> swept = model.sweepOnePassObserved(
+            std::vector<core::CachePerf> swept = model.sweepObserved(
                 app, 8, kRefs, &swept_trace, &swept_registry);
             ASSERT_EQ(swept.size(), 8u);
 
@@ -502,6 +503,30 @@ TEST(MemDramStudy, OnePassSweepIsExactUnderDram)
                     << name;
             EXPECT_EQ(swept_registry.counterValue("stacksim.sweeps"), 1u);
         }
+    }
+}
+
+TEST(MemDramStudy, CacheSweepCliMatchesPerBoundaryReference)
+{
+    // The offline verb's bytes under each backend equal the rendered
+    // rows of one hierarchy per (app, boundary): the one-pass sweep
+    // behind the verb reconstructs every boundary exactly.
+    const uint64_t refs = 40000;
+    std::vector<std::string> names;
+    for (const trace::AppProfile &app : trace::cacheStudyApps())
+        names.push_back(app.name);
+    for (const char *spec :
+         {"flat", "dram", "dram:banks=2,mshr=2,policy=closed"}) {
+        SCOPED_TRACE(spec);
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(parseOrDie(spec));
+        core::CacheStudy want = reference::runCacheStudy(
+            model, trace::cacheStudyApps(), refs, 8, 4);
+        std::ostringstream rendered;
+        serve::renderCacheSweep(rendered, names, want.perf, refs);
+        EXPECT_EQ(runCli({"cache-sweep", "all", "--refs",
+                          std::to_string(refs), "--mem", spec}),
+                  rendered.str());
     }
 }
 
@@ -912,10 +937,9 @@ TEST(MemGolden, PhasePredictiveCacheRun)
     });
 }
 
-/** runCacheIntervalOracle's golden lines under both backends, from
- *  the per-boundary lanes or the one-pass stack walk. */
+/** runCacheIntervalOracle's golden lines under both backends. */
 Golden
-cacheIntervalOracleGolden(bool one_pass)
+cacheIntervalOracleGolden()
 {
     const trace::AppProfile &app = trace::findApp("compress");
     std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -924,13 +948,12 @@ cacheIntervalOracleGolden(bool one_pass)
         core::AdaptiveCacheModel model;
         model.setMemConfig(mem_config);
         // 30000 refs in 4000-ref intervals: seven full intervals and
-        // a 2000-ref tail; two workers fan the lanes.
+        // a 2000-ref tail.
         obs::DecisionTrace trace;
         obs::CounterRegistry registry;
         core::CacheIntervalResult result = core::runCacheIntervalOracle(
             model, app, 30000, boundaries, 4000, true,
-            core::kClockSwitchPenaltyCycles, 2, {&trace, &registry},
-            one_pass);
+            core::kClockSwitchPenaltyCycles, 1, {&trace, &registry});
         addIntervalResult(golden, name, result);
         for (const obs::TraceEvent &e : trace.events()) {
             if (e.kind != obs::EventKind::Interval)
@@ -946,7 +969,8 @@ cacheIntervalOracleGolden(bool one_pass)
 
 TEST(MemGolden, CacheIntervalOracleLanes)
 {
-    // Both engines must reproduce one table, mem_stall_ns included.
+    // The table the per-boundary lanes and the one-pass walk both
+    // produced, mem_stall_ns included.
     const std::vector<std::string> want = {
         "flat.refs=30000",
         "flat.instructions=333330",
@@ -993,10 +1017,7 @@ TEST(MemGolden, CacheIntervalOracleLanes)
         "dram.interval7.duration_ns=4663586017593293355",
         "dram.interval7.mem_stall_ns=4624633867356078080",
     };
-    for (bool one_pass : {false, true}) {
-        SCOPED_TRACE(one_pass ? "one-pass" : "lanes");
-        cacheIntervalOracleGolden(one_pass).expect(want);
-    }
+    cacheIntervalOracleGolden().expect(want);
 }
 
 TEST(MemGolden, AsyncCacheEvaluate)

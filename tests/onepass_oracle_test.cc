@@ -1,10 +1,11 @@
 /**
  * @file
- * Differential tests for the one-pass interval oracles: the single
- * WindowSweeper walk (IQ side) and the single stack-distance walk
- * (cache side) must reproduce the per-candidate lane oracles bit for
- * bit -- results, traces and counters -- for every application and
- * every job count.
+ * Differential tests for the one-pass interval oracles: the cost
+ * table of the single WindowSweeper walk (IQ side) and of the single
+ * stack-distance walk (cache side) must equal the per-candidate
+ * reference tables (tests/reference.h) on every candidate and every
+ * interval, and the oracles' results, traces and counters must be the
+ * winner reduction of that table.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +18,63 @@
 #include "core/interval_controller.h"
 #include "obs/decision_trace.h"
 #include "obs/registry.h"
+#include "reference.h"
 #include "sample/sampler.h"
 #include "sample/study.h"
 #include "trace/workloads.h"
 
 namespace cap {
 namespace {
+
+void
+expectSameIqCosts(const std::vector<std::vector<core::IqIntervalCost>> &want,
+                  const std::vector<std::vector<core::IqIntervalCost>> &got,
+                  const std::string &context)
+{
+    ASSERT_EQ(want.size(), got.size()) << context;
+    for (size_t li = 0; li < want.size(); ++li) {
+        ASSERT_EQ(want[li].size(), got[li].size()) << context;
+        for (size_t i = 0; i < want[li].size(); ++i) {
+            EXPECT_EQ(want[li][i].cycles, got[li][i].cycles)
+                << context << " lane " << li << " interval " << i;
+            EXPECT_EQ(want[li][i].instructions, got[li][i].instructions)
+                << context << " lane " << li << " interval " << i;
+        }
+    }
+}
+
+void
+expectSameCacheCosts(
+    const std::vector<std::vector<core::CacheIntervalCost>> &want,
+    const std::vector<std::vector<core::CacheIntervalCost>> &got,
+    const std::string &context)
+{
+    ASSERT_EQ(want.size(), got.size()) << context;
+    for (size_t li = 0; li < want.size(); ++li) {
+        ASSERT_EQ(want[li].size(), got[li].size()) << context;
+        for (size_t i = 0; i < want[li].size(); ++i) {
+            EXPECT_EQ(want[li][i].time_ns, got[li][i].time_ns)
+                << context << " lane " << li << " interval " << i;
+            EXPECT_EQ(want[li][i].instructions, got[li][i].instructions)
+                << context << " lane " << li << " interval " << i;
+            EXPECT_EQ(want[li][i].mem_stall_ns, got[li][i].mem_stall_ns)
+                << context << " lane " << li << " interval " << i;
+        }
+    }
+}
+
+/** Index of the first candidate whose interval time @p time_of(li)
+ *  is smallest: the oracles' winner rule. */
+template <typename TimeOf>
+size_t
+winnerOf(size_t candidates, TimeOf time_of)
+{
+    size_t best = 0;
+    for (size_t li = 1; li < candidates; ++li)
+        if (time_of(li) < time_of(best))
+            best = li;
+    return best;
+}
 
 void
 expectSameIqResult(const core::IntervalRunResult &want,
@@ -35,40 +87,21 @@ expectSameIqResult(const core::IntervalRunResult &want,
     EXPECT_EQ(want.config_trace, got.config_trace) << context;
 }
 
-void
-expectSameCacheResult(const core::CacheIntervalResult &want,
-                      const core::CacheIntervalResult &got,
-                      const std::string &context)
-{
-    EXPECT_EQ(want.refs, got.refs) << context;
-    EXPECT_EQ(want.instructions, got.instructions) << context;
-    EXPECT_EQ(want.total_time_ns, got.total_time_ns) << context;
-    EXPECT_EQ(want.reconfigurations, got.reconfigurations) << context;
-    EXPECT_EQ(want.boundary_trace, got.boundary_trace) << context;
-}
-
 // ---------------------------------------------------------------------
 // IQ side
 // ---------------------------------------------------------------------
 
 TEST(OnePassOracleTest, IqBitIdenticalAcrossAllApps)
 {
-    core::AdaptiveIqModel model;
     std::vector<int> candidates = {16, 64, 128};
     constexpr uint64_t kInstrs = 30000;
     for (const trace::AppProfile &app : trace::workloadSuite()) {
-        core::IntervalRunResult lanes = core::runIntervalOracle(
-            model, app, kInstrs, candidates, core::kIntervalInstructions,
-            true, core::kClockSwitchPenaltyCycles, 1, {}, false);
-        for (int jobs : {1, 4}) {
-            core::IntervalRunResult onepass = core::runIntervalOracle(
-                model, app, kInstrs, candidates,
-                core::kIntervalInstructions, true,
-                core::kClockSwitchPenaltyCycles, jobs, {}, true);
-            expectSameIqResult(lanes, onepass,
-                               app.name + " jobs=" +
-                                   std::to_string(jobs));
-        }
+        expectSameIqCosts(
+            reference::intervalOracleCosts(app, kInstrs, candidates,
+                                           core::kIntervalInstructions),
+            core::intervalOracleCosts(app, kInstrs, candidates,
+                                      core::kIntervalInstructions),
+            app.name);
     }
 }
 
@@ -79,13 +112,14 @@ TEST(OnePassOracleTest, IqFullLadderWithTailInterval)
     const trace::AppProfile &app = trace::findApp("vortex");
     // 90500 = 45 full intervals plus a 500-instruction tail.
     constexpr uint64_t kInstrs = 90500;
-    core::IntervalRunResult lanes = core::runIntervalOracle(
-        model, app, kInstrs, sizes, core::kIntervalInstructions, true,
-        core::kClockSwitchPenaltyCycles, 4, {}, false);
+    expectSameIqCosts(
+        reference::intervalOracleCosts(app, kInstrs, sizes,
+                                       core::kIntervalInstructions, 4),
+        core::intervalOracleCosts(app, kInstrs, sizes,
+                                  core::kIntervalInstructions),
+        app.name);
     core::IntervalRunResult onepass = core::runIntervalOracle(
-        model, app, kInstrs, sizes, core::kIntervalInstructions, true,
-        core::kClockSwitchPenaltyCycles, 1, {}, true);
-    expectSameIqResult(lanes, onepass, app.name);
+        model, app, kInstrs, sizes, core::kIntervalInstructions, true);
     EXPECT_EQ(onepass.instructions, kInstrs);
     EXPECT_EQ(onepass.config_trace.size(), 46u);
 }
@@ -94,16 +128,11 @@ TEST(OnePassOracleTest, IqShortIntervalsStressLaneDrift)
 {
     // Short intervals maximize the relative per-lane overshoot drift
     // the chained advancement must reproduce.
-    core::AdaptiveIqModel model;
     std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
     const trace::AppProfile &app = trace::findApp("turb3d");
-    core::IntervalRunResult lanes = core::runIntervalOracle(
-        model, app, 20000, sizes, 100, true,
-        core::kClockSwitchPenaltyCycles, 4, {}, false);
-    core::IntervalRunResult onepass = core::runIntervalOracle(
-        model, app, 20000, sizes, 100, true,
-        core::kClockSwitchPenaltyCycles, 1, {}, true);
-    expectSameIqResult(lanes, onepass, app.name);
+    expectSameIqCosts(
+        reference::intervalOracleCosts(app, 20000, sizes, 100, 4),
+        core::intervalOracleCosts(app, 20000, sizes, 100), app.name);
 }
 
 TEST(OnePassOracleTest, IqLongIntervalsNeedRingReserve)
@@ -111,56 +140,57 @@ TEST(OnePassOracleTest, IqLongIntervalsNeedRingReserve)
     // An interval longer than the default shared ring: reserveSpan()
     // must grow the ring so per-lane advancement can spread the lanes
     // a whole interval apart.
-    core::AdaptiveIqModel model;
     const trace::AppProfile &app = trace::findApp("li");
     std::vector<int> candidates = {16, 128};
-    core::IntervalRunResult lanes = core::runIntervalOracle(
-        model, app, 120000, candidates, 40000, false,
-        core::kClockSwitchPenaltyCycles, 1, {}, false);
-    core::IntervalRunResult onepass = core::runIntervalOracle(
-        model, app, 120000, candidates, 40000, false,
-        core::kClockSwitchPenaltyCycles, 1, {}, true);
-    expectSameIqResult(lanes, onepass, app.name);
+    expectSameIqCosts(
+        reference::intervalOracleCosts(app, 120000, candidates, 40000),
+        core::intervalOracleCosts(app, 120000, candidates, 40000),
+        app.name);
 }
 
 TEST(OnePassOracleTest, IqObsTraceAndCountersMatchLaneOracle)
 {
+    // Every Interval record is the winning lane's cost in the
+    // per-candidate reference table.
     core::AdaptiveIqModel model;
     const trace::AppProfile &app = trace::findApp("vortex");
     std::vector<int> candidates = {16, 64};
+    std::vector<std::vector<core::IqIntervalCost>> lanes =
+        reference::intervalOracleCosts(app, 50000, candidates,
+                                       core::kIntervalInstructions);
 
-    obs::DecisionTrace lane_trace;
-    obs::CounterRegistry lane_registry;
-    obs::Hooks lane_hooks{&lane_trace, &lane_registry};
-    core::IntervalRunResult lanes = core::runIntervalOracle(
+    obs::DecisionTrace trace;
+    obs::CounterRegistry registry;
+    core::IntervalRunResult result = core::runIntervalOracle(
         model, app, 50000, candidates, core::kIntervalInstructions, true,
-        core::kClockSwitchPenaltyCycles, 2, lane_hooks, false);
+        core::kClockSwitchPenaltyCycles, 1, {&trace, &registry});
 
-    obs::DecisionTrace onepass_trace;
-    obs::CounterRegistry onepass_registry;
-    obs::Hooks onepass_hooks{&onepass_trace, &onepass_registry};
-    core::IntervalRunResult onepass = core::runIntervalOracle(
-        model, app, 50000, candidates, core::kIntervalInstructions, true,
-        core::kClockSwitchPenaltyCycles, 1, onepass_hooks, true);
-
-    expectSameIqResult(lanes, onepass, app.name);
-    ASSERT_EQ(onepass_trace.size(), lane_trace.size());
-    for (size_t i = 0; i < lane_trace.size(); ++i) {
-        const obs::TraceEvent &a = lane_trace.events()[i];
-        const obs::TraceEvent &b = onepass_trace.events()[i];
-        EXPECT_EQ(a.kind, b.kind) << "event " << i;
-        EXPECT_EQ(a.lane, b.lane) << "event " << i;
-        EXPECT_EQ(a.config, b.config) << "event " << i;
-        EXPECT_EQ(a.retired, b.retired) << "event " << i;
-        EXPECT_EQ(a.cycles, b.cycles) << "event " << i;
-        EXPECT_EQ(a.start_ns, b.start_ns) << "event " << i;
-        EXPECT_EQ(a.duration_ns, b.duration_ns) << "event " << i;
-        EXPECT_EQ(a.penalty_ns, b.penalty_ns) << "event " << i;
+    size_t intervals = 0;
+    for (const obs::TraceEvent &e : trace.events()) {
+        if (e.kind != obs::EventKind::Interval)
+            continue;
+        size_t i = e.interval;
+        ASSERT_LT(i, lanes[0].size());
+        size_t li = winnerOf(candidates.size(), [&](size_t c) {
+            return static_cast<double>(lanes[c][i].cycles) *
+                   model.cycleNs(candidates[c]);
+        });
+        EXPECT_EQ(e.config, std::to_string(candidates[li])) << i;
+        EXPECT_EQ(result.config_trace[i], candidates[li]) << i;
+        EXPECT_EQ(e.cycles, lanes[li][i].cycles) << i;
+        EXPECT_EQ(e.retired, lanes[li][i].instructions) << i;
+        EXPECT_EQ(e.duration_ns, static_cast<double>(lanes[li][i].cycles) *
+                                     model.cycleNs(candidates[li]))
+            << i;
+        ++intervals;
     }
-    EXPECT_EQ(lane_registry.counter("oracle.intervals").value(),
-              onepass_registry.counter("oracle.intervals").value());
-    EXPECT_EQ(lane_registry.counter("oracle.reconfigurations").value(),
-              onepass_registry.counter("oracle.reconfigurations").value());
+    EXPECT_EQ(intervals, lanes[0].size());
+    EXPECT_EQ(trace.countKind(obs::EventKind::Reconfig),
+              static_cast<size_t>(result.reconfigurations));
+    EXPECT_EQ(trace.intervalRetiredTotal(), result.instructions);
+    EXPECT_EQ(registry.counter("oracle.intervals").value(), intervals);
+    EXPECT_EQ(registry.counter("oracle.reconfigurations").value(),
+              static_cast<uint64_t>(result.reconfigurations));
 }
 
 // ---------------------------------------------------------------------
@@ -173,36 +203,12 @@ TEST(OnePassOracleTest, CacheBitIdenticalAcrossAllApps)
     std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
     constexpr uint64_t kRefs = 40000;
     for (const trace::AppProfile &app : trace::workloadSuite()) {
-        core::CacheIntervalResult lanes = core::runCacheIntervalOracle(
-            model, app, kRefs, boundaries, 1000, true,
-            core::kClockSwitchPenaltyCycles, 1, {}, false);
-        for (int jobs : {1, 4}) {
-            core::CacheIntervalResult onepass =
-                core::runCacheIntervalOracle(
-                    model, app, kRefs, boundaries, 1000, true,
-                    core::kClockSwitchPenaltyCycles, jobs, {}, true);
-            expectSameCacheResult(lanes, onepass,
-                                  app.name + " jobs=" +
-                                      std::to_string(jobs));
-        }
-    }
-}
-
-TEST(OnePassOracleTest, CacheLaneOracleBitIdenticalAcrossJobs)
-{
-    core::AdaptiveCacheModel model;
-    std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
-    trace::AppProfile demo = trace::phasedCacheDemo();
-    core::CacheIntervalResult serial = core::runCacheIntervalOracle(
-        model, demo, 60000, boundaries, 1000, true,
-        core::kClockSwitchPenaltyCycles, 1, {}, false);
-    for (int jobs : {2, 4}) {
-        core::CacheIntervalResult parallel =
-            core::runCacheIntervalOracle(
-                model, demo, 60000, boundaries, 1000, true,
-                core::kClockSwitchPenaltyCycles, jobs, {}, false);
-        expectSameCacheResult(serial, parallel,
-                              "jobs=" + std::to_string(jobs));
+        expectSameCacheCosts(
+            reference::cacheIntervalOracleCosts(model, app, kRefs,
+                                                boundaries, 1000),
+            core::cacheIntervalOracleCosts(model, app, kRefs, boundaries,
+                                           1000),
+            app.name);
     }
 }
 
@@ -213,15 +219,18 @@ TEST(OnePassOracleTest, CacheFinalPartialIntervalIsCredited)
 {
     core::AdaptiveCacheModel model;
     const trace::AppProfile &app = trace::findApp("li");
-    for (bool one_pass : {false, true}) {
-        core::CacheIntervalResult result = core::runCacheIntervalOracle(
-            model, app, 2500, {1, 2, 3, 4}, 1000, false,
-            core::kClockSwitchPenaltyCycles, 1, {}, one_pass);
-        EXPECT_EQ(result.refs, 2500u) << one_pass;
-        EXPECT_EQ(result.boundary_trace.size(), 3u) << one_pass;
-        EXPECT_GT(result.instructions, 0u) << one_pass;
-        EXPECT_TRUE(std::isfinite(result.tpi())) << one_pass;
-    }
+    std::vector<int> boundaries = {1, 2, 3, 4};
+    expectSameCacheCosts(
+        reference::cacheIntervalOracleCosts(model, app, 2500, boundaries,
+                                            1000),
+        core::cacheIntervalOracleCosts(model, app, 2500, boundaries, 1000),
+        app.name);
+    core::CacheIntervalResult result = core::runCacheIntervalOracle(
+        model, app, 2500, boundaries, 1000, false);
+    EXPECT_EQ(result.refs, 2500u);
+    EXPECT_EQ(result.boundary_trace.size(), 3u);
+    EXPECT_GT(result.instructions, 0u);
+    EXPECT_TRUE(std::isfinite(result.tpi()));
 }
 
 // Regression: the 30-cycle switch penalty was a hard-coded literal;
@@ -246,60 +255,65 @@ TEST(OnePassOracleTest, CacheSwitchPenaltyParameterScalesCharge)
 
 TEST(OnePassOracleTest, CacheObsTraceAndCountersMatchBothEngines)
 {
+    // Every Interval record is the winning boundary's cost in the
+    // per-boundary reference table.
     core::AdaptiveCacheModel model;
     trace::AppProfile demo = trace::phasedCacheDemo();
     std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
+    std::vector<std::vector<core::CacheIntervalCost>> lanes =
+        reference::cacheIntervalOracleCosts(model, demo, 60000,
+                                            boundaries, 1000, 2);
 
-    obs::DecisionTrace lane_trace;
-    obs::CounterRegistry lane_registry;
-    obs::Hooks lane_hooks{&lane_trace, &lane_registry};
-    core::CacheIntervalResult lanes = core::runCacheIntervalOracle(
+    obs::DecisionTrace trace;
+    obs::CounterRegistry registry;
+    core::CacheIntervalResult result = core::runCacheIntervalOracle(
         model, demo, 60000, boundaries, 1000, true,
-        core::kClockSwitchPenaltyCycles, 2, lane_hooks, false);
+        core::kClockSwitchPenaltyCycles, 1, {&trace, &registry});
 
-    obs::DecisionTrace onepass_trace;
-    obs::CounterRegistry onepass_registry;
-    obs::Hooks onepass_hooks{&onepass_trace, &onepass_registry};
-    core::CacheIntervalResult onepass = core::runCacheIntervalOracle(
-        model, demo, 60000, boundaries, 1000, true,
-        core::kClockSwitchPenaltyCycles, 1, onepass_hooks, true);
-
-    expectSameCacheResult(lanes, onepass, "phased demo");
-    EXPECT_EQ(lane_trace.countKind(obs::EventKind::Interval),
-              lanes.boundary_trace.size());
-    EXPECT_EQ(lane_trace.countKind(obs::EventKind::Reconfig),
-              static_cast<size_t>(lanes.reconfigurations));
-    EXPECT_EQ(lane_trace.intervalRetiredTotal(), lanes.instructions);
-    ASSERT_EQ(onepass_trace.size(), lane_trace.size());
-    for (size_t i = 0; i < lane_trace.size(); ++i) {
-        const obs::TraceEvent &a = lane_trace.events()[i];
-        const obs::TraceEvent &b = onepass_trace.events()[i];
-        EXPECT_EQ(a.kind, b.kind) << "event " << i;
-        EXPECT_EQ(a.config, b.config) << "event " << i;
-        EXPECT_EQ(a.retired, b.retired) << "event " << i;
-        EXPECT_EQ(a.start_ns, b.start_ns) << "event " << i;
-        EXPECT_EQ(a.duration_ns, b.duration_ns) << "event " << i;
+    size_t intervals = 0;
+    for (const obs::TraceEvent &e : trace.events()) {
+        if (e.kind != obs::EventKind::Interval)
+            continue;
+        size_t i = e.interval;
+        ASSERT_LT(i, lanes[0].size());
+        size_t li = winnerOf(boundaries.size(),
+                             [&](size_t c) { return lanes[c][i].time_ns; });
+        EXPECT_EQ(e.config, std::to_string(boundaries[li])) << i;
+        EXPECT_EQ(result.boundary_trace[i], boundaries[li]) << i;
+        EXPECT_EQ(e.retired, lanes[li][i].instructions) << i;
+        EXPECT_EQ(e.duration_ns, lanes[li][i].time_ns) << i;
+        ++intervals;
     }
-    EXPECT_EQ(lane_registry.counter("oracle.intervals").value(),
-              onepass_registry.counter("oracle.intervals").value());
-    EXPECT_EQ(lane_registry.counter("oracle.reconfigurations").value(),
-              onepass_registry.counter("oracle.reconfigurations").value());
+    EXPECT_EQ(intervals, result.boundary_trace.size());
+    EXPECT_EQ(intervals, lanes[0].size());
+    EXPECT_EQ(trace.countKind(obs::EventKind::Reconfig),
+              static_cast<size_t>(result.reconfigurations));
+    EXPECT_EQ(trace.intervalRetiredTotal(), result.instructions);
+    EXPECT_EQ(registry.counter("oracle.intervals").value(), intervals);
+    EXPECT_EQ(registry.counter("oracle.reconfigurations").value(),
+              static_cast<uint64_t>(result.reconfigurations));
 }
 
 // ---------------------------------------------------------------------
 // Sampled oracle and CLI round trips
 // ---------------------------------------------------------------------
 
-TEST(OnePassOracleTest, SamplerRepConfigsMatchesPerConfigMeasurement)
+sample::SampleParams
+oracleSampleParams()
 {
-    core::AdaptiveIqModel model;
-    const trace::AppProfile &app = trace::findApp("vortex");
     sample::SampleParams params;
     params.interval_len = 2000;
     params.clusters = 6;
     params.warmup_len = 2000;
     params.cold_prefix_len = 10000;
-    sample::IqSampler sampler(model, app, 60000, params);
+    return params;
+}
+
+TEST(OnePassOracleTest, SamplerRepConfigsMatchesPerConfigMeasurement)
+{
+    core::AdaptiveIqModel model;
+    const trace::AppProfile &app = trace::findApp("vortex");
+    sample::IqSampler sampler(model, app, 60000, oracleSampleParams());
     std::vector<int> candidates = {24, 48, 96};
     for (size_t rep = 0; rep < sampler.repCount(); ++rep) {
         std::vector<sample::IqRepMeasurement> chained =
@@ -318,58 +332,72 @@ TEST(OnePassOracleTest, SamplerRepConfigsMatchesPerConfigMeasurement)
 
 TEST(OnePassOracleTest, SampledOracleBitIdenticalAcrossEngines)
 {
+    // The one-chain-per-representative oracle against its reduction
+    // over one measureRep() replay per (candidate, medoid).
     core::AdaptiveIqModel model;
     const trace::AppProfile &app = trace::findApp("turb3d");
-    sample::SampleParams params;
-    params.interval_len = 2000;
-    params.clusters = 6;
-    params.warmup_len = 2000;
-    params.cold_prefix_len = 10000;
+    sample::SampleParams params = oracleSampleParams();
     std::vector<int> candidates = {32, 64, 128};
+    sample::IqSampler sampler(model, app, 60000, params);
+    const sample::SamplePlan &plan = sampler.plan();
 
-    core::IntervalRunResult per_config = sample::runSampledIntervalOracle(
-        model, app, 60000, candidates, params, true,
-        core::kClockSwitchPenaltyCycles, 2, {}, false);
+    std::vector<std::vector<double>> time_per_instr;
+    std::vector<size_t> winner;
+    for (size_t c = 0; c < plan.clustering.clusterCount(); ++c) {
+        std::vector<double> row;
+        for (int entries : candidates) {
+            sample::IqRepMeasurement m = sampler.measureRep(entries, c);
+            double cpi = m.instructions
+                             ? static_cast<double>(m.cycles) /
+                                   static_cast<double>(m.instructions)
+                             : 0.0;
+            row.push_back(cpi * model.cycleNs(entries));
+        }
+        winner.push_back(
+            winnerOf(candidates.size(), [&](size_t j) { return row[j]; }));
+        time_per_instr.push_back(std::move(row));
+    }
+    core::IntervalRunResult want;
+    want.instructions = 60000;
+    int previous = -1;
+    for (size_t i = 0; i < plan.num_intervals; ++i) {
+        size_t c = static_cast<size_t>(plan.clustering.assignment[i]);
+        int entries = candidates[winner[c]];
+        want.total_time_ns +=
+            static_cast<double>(sampler.profile().lengthOf(i)) *
+            time_per_instr[c][winner[c]];
+        if (previous >= 0 && entries != previous) {
+            ++want.reconfigurations;
+            want.total_time_ns +=
+                static_cast<double>(core::kClockSwitchPenaltyCycles) *
+                model.cycleNs(entries);
+        }
+        previous = entries;
+        want.config_trace.push_back(entries);
+    }
+
     for (int jobs : {1, 4}) {
-        core::IntervalRunResult onepass =
-            sample::runSampledIntervalOracle(
-                model, app, 60000, candidates, params, true,
-                core::kClockSwitchPenaltyCycles, jobs, {}, true);
-        expectSameIqResult(per_config, onepass,
-                           "jobs=" + std::to_string(jobs));
+        core::IntervalRunResult onepass = sample::runSampledIntervalOracle(
+            model, app, 60000, candidates, params, true,
+            core::kClockSwitchPenaltyCycles, jobs);
+        expectSameIqResult(want, onepass, "jobs=" + std::to_string(jobs));
     }
 }
 
-TEST(OnePassOracleTest, CompareTriggersCliIdenticalWithAndWithoutOnePass)
+TEST(OnePassOracleTest, SampleRunOracleCliIdenticalAcrossJobs)
 {
-    std::ostringstream out_default, out_lanes, err;
-    int rc_default = cli::runCommand(
-        {"interval-run", "vortex", "--instrs", "60000",
-         "--compare-triggers"},
-        out_default, err);
-    int rc_lanes = cli::runCommand(
-        {"interval-run", "vortex", "--instrs", "60000",
-         "--compare-triggers", "--no-onepass", "--jobs", "4"},
-        out_lanes, err);
-    ASSERT_EQ(rc_default, 0) << err.str();
-    ASSERT_EQ(rc_lanes, 0) << err.str();
-    EXPECT_EQ(out_default.str(), out_lanes.str());
-}
-
-TEST(OnePassOracleTest, SampleRunOracleCliIdenticalWithAndWithoutOnePass)
-{
-    std::ostringstream out_default, out_lanes, err;
-    int rc_default = cli::runCommand(
+    std::ostringstream out_serial, out_parallel, err;
+    int rc_serial = cli::runCommand(
         {"sample-run", "vortex", "--study", "iq", "--instrs", "60000",
-         "--oracle"},
-        out_default, err);
-    int rc_lanes = cli::runCommand(
+         "--oracle", "--jobs", "1"},
+        out_serial, err);
+    int rc_parallel = cli::runCommand(
         {"sample-run", "vortex", "--study", "iq", "--instrs", "60000",
-         "--oracle", "--no-onepass", "--jobs", "4"},
-        out_lanes, err);
-    ASSERT_EQ(rc_default, 0) << err.str();
-    ASSERT_EQ(rc_lanes, 0) << err.str();
-    EXPECT_EQ(out_default.str(), out_lanes.str());
+         "--oracle", "--jobs", "4"},
+        out_parallel, err);
+    ASSERT_EQ(rc_serial, 0) << err.str();
+    ASSERT_EQ(rc_parallel, 0) << err.str();
+    EXPECT_EQ(out_serial.str(), out_parallel.str());
 }
 
 TEST(OnePassOracleTest, CacheOracleStillBeatsEveryFixedBoundary)

@@ -360,9 +360,9 @@ TEST(SampledStudyTest, EmitsRepresentativeRecordsAndCounters)
 
     EXPECT_GT(registry.counterValue("sample.intervals_profiled"), 0u);
     EXPECT_GT(registry.counterValue("sample.rep_simulations"), 0u);
-    // The default one-pass mode replays each app's representative
-    // chain once (not once per boundary), so the count is per rep,
-    // not per (rep, config).
+    // The study replays each app's representative chain once (not
+    // once per boundary), so the count is per rep, not per
+    // (rep, config).
     EXPECT_EQ(registry.counterValue("sample.rep_simulations"),
               reps_per_config);
     EXPECT_GT(registry.counterValue("stacksim.sweeps"), 0u);

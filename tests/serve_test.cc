@@ -202,13 +202,7 @@ TEST(ServeKeyTest, CellKeySensitivities)
         specFromJson("{\"kind\":\"cache-sweep\",\"apps\":\"li\"}");
     uint64_t base = serve::cellKey(spec, app);
 
-    // one_pass is an execution knob: the engines are bit-identical
-    // (docs/PERF.md), so it is excluded from the key.
     serve::JobSpec other = spec;
-    other.one_pass = false;
-    EXPECT_EQ(base, serve::cellKey(other, app));
-
-    other = spec;
     other.refs = spec.refs + 1;
     EXPECT_NE(base, serve::cellKey(other, app));
 
@@ -415,7 +409,6 @@ TEST(ServeJobTest, DefaultsMirrorOfflineVerbs)
         specFromJson("{\"kind\":\"cache-sweep\",\"apps\":\"all\"}");
     EXPECT_EQ(spec.kind, serve::JobKind::CacheSweep);
     EXPECT_EQ(spec.refs, 150000u);
-    EXPECT_TRUE(spec.one_pass);
     EXPECT_FALSE(spec.sampled);
     EXPECT_EQ(spec.apps.size(), trace::cacheStudyApps().size());
 
@@ -571,26 +564,6 @@ TEST(ServeDifferentialTest, IntervalRunBytesMatchOffline)
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(warm.output, expected);
     EXPECT_EQ(warm.cell_hits, 1u);
-}
-
-TEST(ServeDifferentialTest, OnePassFlagSharesCells)
-{
-    // one_pass is excluded from the cell key because the engines are
-    // bit-identical: rows computed one way serve the other phrasing.
-    serve::ResultCache cache(64);
-    serve::JobExecutor executor(cache, 2);
-    serve::JobSpec onepass = specFromJson(
-        "{\"kind\":\"cache-sweep\",\"apps\":[\"li\",\"gcc\"],"
-        "\"refs\":3000,\"one_pass\":true}");
-    serve::JobSpec perconfig = onepass;
-    perconfig.one_pass = false;
-
-    serve::JobOutcome a = executor.run(onepass, {}, {}, nullptr);
-    ASSERT_TRUE(a.ok());
-    serve::JobOutcome b = executor.run(perconfig, {}, {}, nullptr);
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(b.cell_hits, b.cells); // all served from one-pass rows
-    EXPECT_EQ(a.output, b.output);
 }
 
 TEST(ServeDifferentialTest, SingleAppRowEqualsRowInFullSweep)

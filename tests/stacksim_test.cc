@@ -2,8 +2,9 @@
  * @file
  * Differential tests of the one-pass stack-distance engine
  * (src/cache/stack_sim.*) and the batched trace/instruction inner
- * loops: the fast paths must be bit-identical to the plain per-config
- * / per-record paths they replace (docs/PERF.md).
+ * loops: the fast paths must be bit-identical to the per-config
+ * reference engines (tests/reference.h) and the per-record paths
+ * they replace (docs/PERF.md).
  */
 
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "obs/registry.h"
 #include "ooo/core_model.h"
 #include "ooo/stream.h"
+#include "reference.h"
 #include "sample/sampler.h"
 #include "trace/file_trace.h"
 #include "trace/stream.h"
@@ -234,13 +236,13 @@ TEST(StackSimStudyTest, OnePassStudyMatchesPerConfig)
     obs::Hooks slow_hooks;
     slow_hooks.trace = &slow_trace;
     core::CacheStudy slow =
-        core::runCacheStudy(model, apps, refs, 8, 1, slow_hooks, false);
+        reference::runCacheStudy(model, apps, refs, 8, 1, slow_hooks);
 
     obs::DecisionTrace fast_trace;
     obs::Hooks fast_hooks;
     fast_hooks.trace = &fast_trace;
     core::CacheStudy fast =
-        core::runCacheStudy(model, apps, refs, 8, 1, fast_hooks, true);
+        core::runCacheStudy(model, apps, refs, 8, 1, fast_hooks);
 
     ASSERT_EQ(slow.perf.size(), fast.perf.size());
     for (size_t a = 0; a < apps.size(); ++a) {
@@ -251,7 +253,7 @@ TEST(StackSimStudyTest, OnePassStudyMatchesPerConfig)
     }
     EXPECT_EQ(slow.selection.per_app_best, fast.selection.per_app_best);
 
-    // Both modes emit one Cell event per (app, boundary) in the same
+    // Both engines emit one Cell event per (app, boundary) in the same
     // order, so the decision-trace JSONL must match byte for byte.
     std::ostringstream slow_jsonl;
     std::ostringstream fast_jsonl;
@@ -271,14 +273,14 @@ TEST(StackSimStudyTest, OnePassStudyIsJobsInvariant)
     obs::DecisionTrace serial_trace;
     obs::CounterRegistry serial_registry;
     obs::Hooks serial_hooks{&serial_trace, &serial_registry};
-    core::CacheStudy serial = core::runCacheStudy(model, apps, refs, 8, 1,
-                                                  serial_hooks, true);
+    core::CacheStudy serial =
+        core::runCacheStudy(model, apps, refs, 8, 1, serial_hooks);
 
     obs::DecisionTrace parallel_trace;
     obs::CounterRegistry parallel_registry;
     obs::Hooks parallel_hooks{&parallel_trace, &parallel_registry};
-    core::CacheStudy parallel = core::runCacheStudy(
-        model, apps, refs, 8, 4, parallel_hooks, true);
+    core::CacheStudy parallel =
+        core::runCacheStudy(model, apps, refs, 8, 4, parallel_hooks);
 
     for (size_t a = 0; a < apps.size(); ++a)
         for (size_t c = 0; c < serial.perf[a].size(); ++c)
@@ -301,7 +303,7 @@ TEST(StackSimStudyTest, SweepOnePassMatchesEvaluate)
     core::AdaptiveCacheModel model;
     const trace::AppProfile &app = trace::findApp("turb3d");
     const uint64_t refs = 25000;
-    std::vector<core::CachePerf> sweep = model.sweepOnePass(app, 8, refs);
+    std::vector<core::CachePerf> sweep = model.sweep(app, 8, refs);
     ASSERT_EQ(sweep.size(), 8u);
     for (int k = 1; k <= 8; ++k)
         expectPerfEq(sweep[static_cast<size_t>(k - 1)],

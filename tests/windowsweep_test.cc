@@ -4,7 +4,8 @@
  * sweep (src/ooo/window_sweep.*) and the file-backed uop trace path:
  * every WindowSweeper lane must be bit-identical to an independent
  * CoreModel run of the same queue size, the one-pass study/sampler
- * paths must match their per-config counterparts byte for byte, and a
+ * paths must match the per-config reference engines
+ * (tests/reference.h) and per-size sampling byte for byte, and a
  * recorded uop trace must round-trip to the synthetic generator
  * (docs/PERF.md).
  */
@@ -24,6 +25,7 @@
 #include "ooo/stream.h"
 #include "ooo/uop_file.h"
 #include "ooo/window_sweep.h"
+#include "reference.h"
 #include "sample/sampler.h"
 #include "sample/study.h"
 #include "trace/workloads.h"
@@ -243,11 +245,12 @@ TEST(WindowSweepStudyTest, SweepOnePassMatchesSweep)
     core::AdaptiveIqModel model;
     const trace::AppProfile &app = trace::findApp("hydro2d");
     const uint64_t instrs = 30000;
-    std::vector<core::IqPerf> fast = model.sweepOnePass(app, instrs);
-    std::vector<core::IqPerf> slow = model.sweep(app, instrs);
-    ASSERT_EQ(fast.size(), slow.size());
-    for (size_t c = 0; c < slow.size(); ++c)
-        expectIqPerfEq(fast[c], slow[c], "c=" + std::to_string(c));
+    std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
+    std::vector<core::IqPerf> fast = model.sweep(app, instrs);
+    ASSERT_EQ(fast.size(), sizes.size());
+    for (size_t c = 0; c < sizes.size(); ++c)
+        expectIqPerfEq(fast[c], model.evaluate(app, sizes[c], instrs),
+                       "c=" + std::to_string(c));
 }
 
 TEST(WindowSweepStudyTest, OnePassObservedMatchesEvaluateObserved)
@@ -260,7 +263,7 @@ TEST(WindowSweepStudyTest, OnePassObservedMatchesEvaluateObserved)
 
     obs::DecisionTrace fast_trace;
     obs::CounterRegistry fast_reg;
-    std::vector<core::IqPerf> fast = model.sweepOnePassObserved(
+    std::vector<core::IqPerf> fast = model.sweepObserved(
         app, instrs, interval, &fast_trace, &fast_reg);
 
     obs::DecisionTrace slow_trace;
@@ -303,13 +306,13 @@ TEST(WindowSweepStudyTest, OnePassStudyMatchesPerConfig)
     obs::Hooks slow_hooks;
     slow_hooks.trace = &slow_trace;
     core::IqStudy slow =
-        core::runIqStudy(model, apps, instrs, 1, slow_hooks, false);
+        reference::runIqStudy(model, apps, instrs, 1, slow_hooks);
 
     obs::DecisionTrace fast_trace;
     obs::Hooks fast_hooks;
     fast_hooks.trace = &fast_trace;
     core::IqStudy fast =
-        core::runIqStudy(model, apps, instrs, 1, fast_hooks, true);
+        core::runIqStudy(model, apps, instrs, 1, fast_hooks);
 
     ASSERT_EQ(slow.perf.size(), fast.perf.size());
     for (size_t a = 0; a < apps.size(); ++a) {
@@ -320,7 +323,7 @@ TEST(WindowSweepStudyTest, OnePassStudyMatchesPerConfig)
     }
     EXPECT_EQ(slow.selection.per_app_best, fast.selection.per_app_best);
 
-    // Both modes emit one Interval event per (app, config, interval)
+    // Both engines emit one Interval event per (app, config, interval)
     // in the same order, so the decision-trace JSONL must match byte
     // for byte.
     std::ostringstream slow_jsonl;
@@ -342,13 +345,13 @@ TEST(WindowSweepStudyTest, OnePassStudyIsJobsInvariant)
     obs::CounterRegistry serial_registry;
     obs::Hooks serial_hooks{&serial_trace, &serial_registry};
     core::IqStudy serial =
-        core::runIqStudy(model, apps, instrs, 1, serial_hooks, true);
+        core::runIqStudy(model, apps, instrs, 1, serial_hooks);
 
     obs::DecisionTrace parallel_trace;
     obs::CounterRegistry parallel_registry;
     obs::Hooks parallel_hooks{&parallel_trace, &parallel_registry};
     core::IqStudy parallel =
-        core::runIqStudy(model, apps, instrs, 4, parallel_hooks, true);
+        core::runIqStudy(model, apps, instrs, 4, parallel_hooks);
 
     for (size_t a = 0; a < apps.size(); ++a)
         for (size_t c = 0; c < serial.perf[a].size(); ++c)
@@ -442,6 +445,8 @@ TEST(WindowSweepSampledTest, MeasureRepReanchorsWarmupOvershoot)
 
 TEST(WindowSweepSampledTest, SampledStudyOnePassMatchesPerConfig)
 {
+    // The study scores every size from one chain per representative;
+    // IqSampler::evaluate() replays one chain per (size, rep).
     core::AdaptiveIqModel model;
     std::vector<trace::AppProfile> apps = {trace::findApp("li"),
                                            trace::findApp("su2cor")};
@@ -450,42 +455,27 @@ TEST(WindowSweepSampledTest, SampledStudyOnePassMatchesPerConfig)
     params.interval_len = 2000;
     params.clusters = 4;
     params.warmup_len = 4000;
+    std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
 
-    obs::DecisionTrace slow_trace;
-    obs::Hooks slow_hooks;
-    slow_hooks.trace = &slow_trace;
-    sample::SampledIqStudy slow = sample::runSampledIqStudy(
-        model, apps, instrs, params, 1, slow_hooks, false);
+    sample::SampledIqStudy fast =
+        sample::runSampledIqStudy(model, apps, instrs, params, 3);
 
-    obs::DecisionTrace fast_trace;
-    obs::Hooks fast_hooks;
-    fast_hooks.trace = &fast_trace;
-    sample::SampledIqStudy fast = sample::runSampledIqStudy(
-        model, apps, instrs, params, 3, fast_hooks, true);
-
-    ASSERT_EQ(slow.perf.size(), fast.perf.size());
+    ASSERT_EQ(fast.perf.size(), apps.size());
     for (size_t a = 0; a < apps.size(); ++a) {
-        ASSERT_EQ(slow.perf[a].size(), fast.perf[a].size());
-        for (size_t c = 0; c < slow.perf[a].size(); ++c) {
+        sample::IqSampler sampler(model, apps[a], instrs, params);
+        ASSERT_EQ(fast.perf[a].size(), sizes.size());
+        for (size_t c = 0; c < sizes.size(); ++c) {
             std::string where =
                 apps[a].name + " c=" + std::to_string(c);
-            expectIqPerfEq(slow.perf[a][c].perf, fast.perf[a][c].perf,
-                           where);
-            EXPECT_EQ(slow.perf[a][c].tpi_lo_ns, fast.perf[a][c].tpi_lo_ns)
-                << where;
-            EXPECT_EQ(slow.perf[a][c].tpi_hi_ns, fast.perf[a][c].tpi_hi_ns)
+            sample::SampledIqPerf slow = sampler.evaluate(sizes[c]);
+            expectIqPerfEq(slow.perf, fast.perf[a][c].perf, where);
+            EXPECT_EQ(slow.tpi_lo_ns, fast.perf[a][c].tpi_lo_ns) << where;
+            EXPECT_EQ(slow.tpi_hi_ns, fast.perf[a][c].tpi_hi_ns) << where;
+            EXPECT_EQ(slow.simulated_instrs,
+                      fast.perf[a][c].simulated_instrs)
                 << where;
         }
     }
-    EXPECT_EQ(slow.selection.per_app_best, fast.selection.per_app_best);
-
-    // Phase 3 emits the Representative records serially from the
-    // measurement matrix, so the JSONL is mode- and jobs-invariant.
-    std::ostringstream slow_jsonl;
-    std::ostringstream fast_jsonl;
-    slow_trace.writeJsonl(slow_jsonl);
-    fast_trace.writeJsonl(fast_jsonl);
-    EXPECT_EQ(slow_jsonl.str(), fast_jsonl.str());
 }
 
 // ---------------------------------------------------------------------
