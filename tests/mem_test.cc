@@ -22,6 +22,7 @@
 #include "core/machine.h"
 #include "core/multiprogram.h"
 #include "core/profile_guided.h"
+#include "golden.h"
 #include "mem/mem_model.h"
 #include "obs/decision_trace.h"
 #include "obs/hooks.h"
@@ -680,70 +681,14 @@ TEST(MemServe, JobParsesMemAndRejectsSampledDram)
 // ---------------------------------------------------------------------
 // Golden bits: every cache-side model's exact output under the default
 // dram backend and under flat, pinned as IEEE bit patterns
-// (json::doubleBits).  The miss clock and trace walk these models
-// share must reproduce them bit for bit.  On a deliberate model change
-// the failure message prints the new table to paste back.
+// (json::doubleBits, golden.h).  The miss clock and trace walk these
+// models share must reproduce them bit for bit.
 // ---------------------------------------------------------------------
 
 constexpr uint64_t kGoldenRefs = 20000;
 
-/** Named values rendered exactly: doubles as bit patterns. */
-class Golden
-{
-  public:
-    void
-    add(const std::string &name, double value)
-    {
-        lines_.push_back(name + "=" + json::doubleBits(value));
-    }
-
-    void
-    add(const std::string &name, uint64_t value)
-    {
-        lines_.push_back(name + "=" + std::to_string(value));
-    }
-
-    void
-    add(const std::string &name, const std::string &value)
-    {
-        lines_.push_back(name + "=" + value);
-    }
-
-    /** FNV-1a over the bit patterns of @p values (for long tables). */
-    void
-    digest(const std::string &name, const std::vector<double> &values)
-    {
-        uint64_t h = 1469598103934665603ull;
-        for (double v : values) {
-            for (char c : json::doubleBits(v) + ",") {
-                h ^= static_cast<unsigned char>(c);
-                h *= 1099511628211ull;
-            }
-        }
-        add(name, h);
-    }
-
-    void
-    expect(const std::vector<std::string> &want) const
-    {
-        std::ostringstream table;
-        for (const std::string &line : lines_)
-            table << "        \"" << line << "\",\n";
-        EXPECT_EQ(lines_, want) << "recorded table:\n" << table.str();
-    }
-
-  private:
-    std::vector<std::string> lines_;
-};
-
-std::string
-joinInts(const std::vector<int> &values)
-{
-    std::string out;
-    for (int v : values)
-        out += (out.empty() ? "" : ",") + std::to_string(v);
-    return out;
-}
+using golden::Golden;
+using golden::joinInts;
 
 /** The two backends every golden case runs under. */
 const std::vector<std::pair<std::string, mem::MemConfig>> &

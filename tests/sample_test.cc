@@ -207,8 +207,9 @@ TEST(PlanTest, ColdPrefixAnchorsMedoidsOutsideThePrefix)
         const sample::Representative &rep = plan.reps[r];
         if (r < k) {
             // A weighted medoid must represent steady-state intervals.
-            if (rep.weight > 0)
+            if (rep.weight > 0) {
                 EXPECT_GE(rep.interval, plan.prefix_intervals);
+            }
         } else if (rep.probe) {
             EXPECT_GE(rep.interval, plan.prefix_intervals);
         } else {
