@@ -80,8 +80,18 @@ CoreModel::tick()
     ++cycle_;
 
     // --- Wakeup + select (atomic within the cycle; oldest first). ---
+    // The scan stops once the issue width is spent.  An entry it
+    // skips would at most resolve its ready cycle from its producers'
+    // completion cycles, which stay fixed while it is queued (the
+    // residency assert at dispatch keeps their ring slots live), so
+    // resolving it on a later cycle gives the same value.
     int issued_this_cycle = 0;
-    for (QueueEntry &entry : queue_) {
+    // Earliest ready cycle among the entries left waiting.
+    Cycles next_ready = kNotIssued;
+    for (size_t i = head_;
+         i < queue_.size() && issued_this_cycle < params_.issue_width;
+         ++i) {
+        QueueEntry &entry = queue_[i];
         if (entry.issued)
             continue;
         if (entry.ready_at == kNotIssued) {
@@ -91,35 +101,40 @@ CoreModel::tick()
             if (c1 != kNotIssued && c2 != kNotIssued)
                 entry.ready_at = std::max(c1, c2);
         }
-        if (issued_this_cycle < params_.issue_width &&
-            entry.ready_at != kNotIssued && entry.ready_at <= cycle_) {
+        if (entry.ready_at != kNotIssued && entry.ready_at <= cycle_) {
             entry.issued = true;
             recordCompletion(entry.index, cycle_ + entry.latency);
             ++issued_;
             ++issued_this_cycle;
+        } else {
+            next_ready = std::min(next_ready, entry.ready_at);
         }
     }
 
     // --- Reclaim queue entries. ---
     if (params_.free_at_issue) {
-        // Collapsing queue: any issued entry frees immediately.
+        // Collapsing queue: any issued entry frees immediately (head_
+        // stays 0 in this mode).
         std::erase_if(queue_, [](const QueueEntry &e) { return e.issued; });
     } else {
-        // RUU: free the issued prefix in program order.
-        size_t freed = 0;
-        while (freed < queue_.size() && queue_[freed].issued)
-            ++freed;
-        if (freed > 0)
+        // RUU: free the issued prefix in program order by advancing
+        // the head; the dead prefix is compacted away once it is as
+        // long as the live queue, so each entry moves O(1) times.
+        while (head_ < queue_.size() && queue_[head_].issued)
+            ++head_;
+        if (head_ > 0 && head_ >= queue_.size() - head_) {
             queue_.erase(queue_.begin(),
-                         queue_.begin() + static_cast<ptrdiff_t>(freed));
+                         queue_.begin() + static_cast<ptrdiff_t>(head_));
+            head_ = 0;
+        }
     }
 
     // --- Dispatch into freed slots (new arrivals wake up next cycle). ---
     int dispatched_this_cycle = 0;
     while (dispatched_this_cycle < params_.dispatch_width &&
-           static_cast<int>(queue_.size()) < params_.queue_entries) {
-        if (!queue_.empty()) {
-            capAssert(dispatched_ - queue_.front().index <
+           occupancy() < params_.queue_entries) {
+        if (head_ < queue_.size()) {
+            capAssert(dispatched_ - queue_[head_].index <
                       kCompletionRing - kMaxDepDistance,
                       "completion ring too small for queue residency");
         }
@@ -156,15 +171,30 @@ CoreModel::tick()
         ++dispatched_this_cycle;
     }
 
+    // --- Idle fast-forward. ---
+    // A cycle that issued and dispatched nothing scanned every queued
+    // entry.  Each entry whose producers have all issued now knows its
+    // ready cycle, all later than this one; the others wait on
+    // producers that cannot issue before the earliest of those.  With
+    // no issue nothing is reclaimed, so nothing dispatches either:
+    // every cycle before next_ready repeats this one exactly, and is
+    // counted here in one step.
+    Cycles repeat = 1;
+    if (issued_this_cycle == 0 && dispatched_this_cycle == 0 &&
+        next_ready != kNotIssued && next_ready > cycle_ + 1) {
+        repeat = next_ready - cycle_;
+        cycle_ = next_ready - 1;
+    }
+
     if (metrics_) {
-        metrics_->cycles->add(1);
+        metrics_->cycles->add(repeat);
         metrics_->issued->add(static_cast<uint64_t>(issued_this_cycle));
         metrics_->dispatched->add(
             static_cast<uint64_t>(dispatched_this_cycle));
         if (dispatched_this_cycle < params_.dispatch_width &&
-            static_cast<int>(queue_.size()) >= params_.queue_entries)
-            metrics_->dispatch_stalls->add(1);
-        metrics_->occupancy->add(static_cast<double>(queue_.size()));
+            occupancy() >= params_.queue_entries)
+            metrics_->dispatch_stalls->add(repeat);
+        metrics_->occupancy->add(static_cast<double>(occupancy()), repeat);
     }
 }
 
@@ -189,7 +219,7 @@ CoreModel::step(uint64_t instructions)
     while (issued_ < target) {
         uint64_t before = issued_;
         tick();
-        if (issued_ == before && queue_.empty())
+        if (issued_ == before && occupancy() == 0)
             fatal("instruction source exhausted at %llu issued "
                   "instructions (step target %llu)",
                   static_cast<unsigned long long>(issued_),
@@ -214,7 +244,7 @@ CoreModel::resize(int new_entries)
     // entries have issued.
     Cycles start = cycle_;
     params_.queue_entries = new_entries;
-    while (static_cast<int>(queue_.size()) > new_entries)
+    while (occupancy() > new_entries)
         tick();
     return cycle_ - start;
 }

@@ -128,7 +128,7 @@ class CoreModel
     Cycles cycleCount() const { return cycle_; }
 
     /** Current queue occupancy (waiting instructions). */
-    int occupancy() const { return static_cast<int>(queue_.size()); }
+    int occupancy() const { return static_cast<int>(queue_.size() - head_); }
 
     /**
      * Run until @p instructions more instructions have issued.
@@ -194,7 +194,8 @@ class CoreModel
         bool issued;
     };
 
-    /** Advance the machine one cycle (dispatch + wakeup/select). */
+    /** Advance the machine one cycle (wakeup/select, reclaim,
+     *  dispatch), then past any idle cycles that would repeat it. */
     void tick();
 
     /** Completion cycle of instruction @p index (UINT64_MAX if not
@@ -233,8 +234,11 @@ class CoreModel
     size_t fetch_len_ = 0;
     bool exhausted_ = false;
 
-    /** Waiting (dispatched, un-issued) instructions, oldest first. */
+    /** Queued (dispatched, not yet reclaimed) instructions, oldest
+     *  first, from queue_[head_] on; RUU reclamation advances head_
+     *  rather than erasing the front every cycle. */
     std::vector<QueueEntry> queue_;
+    size_t head_ = 0;
 
     /** Ring of completion cycles indexed by instruction number. */
     std::vector<Cycles> completion_;

@@ -18,6 +18,16 @@ InstructionStream::InstructionStream(const trace::IlpBehavior &behavior,
                   "segment references unknown phase %d", seg.phase);
         capAssert(seg.length_instrs > 0, "zero-length phase segment");
     }
+    draws_.reserve(behavior_.phases.size());
+    for (const trace::IlpPhase &phase : behavior_.phases) {
+        PhaseDraw draw;
+        draw.floor = std::max<uint32_t>(1, phase.min_dep_distance);
+        draw.p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);
+        draw.p2 = 1.0 / std::max(1.0, phase.mean_dep_distance2);
+        draw.log_q1 = Rng::geometricLog(draw.p1);
+        draw.log_q2 = Rng::geometricLog(draw.p2);
+        draws_.push_back(draw);
+    }
     segment_left_ = behavior_.schedule[0].length_instrs;
 }
 
@@ -101,25 +111,23 @@ InstructionStream::nextBatch(MicroOp *out, uint64_t max)
     while (n < max) {
         advanceSegment();
         const trace::IlpPhase &phase = behavior_.phases[currentPhase()];
+        const PhaseDraw &draw = draws_[currentPhase()];
         uint64_t chunk = std::min(max - n, segment_left_);
-        // Phase parameters hoisted out of the per-op loop; the RNG
-        // call sequence below matches next() exactly, so batch and
-        // single-op generation stay cursor-equivalent.
-        uint64_t floor = std::max<uint32_t>(1, phase.min_dep_distance);
-        double p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);
-        double p2 = 1.0 / std::max(1.0, phase.mean_dep_distance2);
+        // The RNG call sequence below matches next() exactly, so batch
+        // and single-op generation stay cursor-equivalent.
+        const uint64_t cap = kMaxDepDistance - draw.floor;
         for (uint64_t i = 0; i < chunk; ++i) {
             MicroOp op;
             uint64_t d1 =
-                floor + rng_.geometric(p1, kMaxDepDistance - floor);
+                draw.floor + rng_.geometric(draw.p1, cap, draw.log_q1);
             op.src1_dist = static_cast<uint32_t>(std::min<uint64_t>(
                 d1, position_ == 0
                         ? 0
                         : std::min<uint64_t>(position_,
                                              kMaxDepDistance)));
             if (position_ > 0 && rng_.chance(phase.second_src_prob)) {
-                uint64_t d2 =
-                    floor + rng_.geometric(p2, kMaxDepDistance - floor);
+                uint64_t d2 = draw.floor +
+                              rng_.geometric(draw.p2, cap, draw.log_q2);
                 op.src2_dist = static_cast<uint32_t>(std::min<uint64_t>(
                     d2, std::min<uint64_t>(position_, kMaxDepDistance)));
             }

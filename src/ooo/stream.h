@@ -8,6 +8,7 @@
 #define CAPSIM_OOO_STREAM_H
 
 #include <cstdint>
+#include <vector>
 
 #include "ooo/op_source.h"
 #include "ooo/uop.h"
@@ -36,7 +37,9 @@ class InstructionStream : public OpSource
      * infinite, so the batch is always filled).  Semantically
      * identical to @p max next() calls -- same ops, same generator
      * state afterwards, including cursor equivalence -- but hoists
-     * the per-op phase lookup out of the loop.  Returns @p max.
+     * the per-op phase lookup out of the loop and draws dependency
+     * distances with each phase's precomputed geometric denominator.
+     * Returns @p max.
      */
     uint64_t nextBatch(MicroOp *out, uint64_t max) override;
 
@@ -70,7 +73,20 @@ class InstructionStream : public OpSource
   private:
     void advanceSegment();
 
+    /** One phase's draw parameters, computed once (next() recomputes
+     *  them per op; nextBatch() reads them from here). */
+    struct PhaseDraw
+    {
+        uint64_t floor;
+        double p1;
+        double p2;
+        /** Rng::geometricLog of p1 and p2. */
+        double log_q1;
+        double log_q2;
+    };
+
     const trace::IlpBehavior behavior_;
+    std::vector<PhaseDraw> draws_;
     Rng rng_;
     uint64_t position_ = 0;
     size_t segment_ = 0;

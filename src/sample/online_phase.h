@@ -10,12 +10,15 @@
  * streaming counterpart:
  *
  *  - the per-interval features are the same ILP moments the offline
- *    extractor computes (profileIlpIntervals: mean dependency
- *    distances, two-source fraction, latency moments, dataflow-limit
- *    IPC), folded from a *shadow* instruction stream advanced by each
- *    interval's retired count.  The features depend only on the
- *    instruction mix -- never on the queue size the controller is
- *    currently running -- so probing does not perturb the phase IDs;
+ *    extractor computes (ilpFeatures(): mean dependency distances,
+ *    two-source fraction, latency moments, dataflow-limit IPC), folded
+ *    from each interval's ops in program order.  The interval
+ *    controller hands the detector the ops its own core already
+ *    generated (observeOps()); observe() generates them from a private
+ *    stream instead, for callers without a core.  The features depend
+ *    only on the instruction mix -- never on the queue size the
+ *    controller is currently running -- so probing does not perturb
+ *    the phase IDs;
  *  - the offline z-score normalization is replaced by a *relative*
  *    (Canberra-style) distance: each dimension's difference is scaled
  *    by the mean magnitude of the two values compared.  A whole-run
@@ -44,12 +47,23 @@
 #define CAPSIM_SAMPLE_ONLINE_PHASE_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ooo/stream.h"
 #include "trace/profile.h"
 
 namespace cap::sample {
+
+/**
+ * The ILP feature vector of one interval of @p count > 0 ops whose
+ * first op has absolute index @p start_index: mean dependency
+ * distances, two-source fraction, latency moments and the
+ * dataflow-limit IPC of ooo::fastProfileBuffer().  Shared by
+ * OnlinePhaseDetector and the offline profilers (signature.h).
+ */
+std::vector<double> ilpFeatures(const ooo::MicroOp *ops, uint64_t count,
+                                uint64_t start_index);
 
 /** Tunables of the streaming clusterer. */
 struct OnlinePhaseParams
@@ -91,15 +105,25 @@ struct PhaseObservation
 class OnlinePhaseDetector
 {
   public:
-    /** Shadows (@p behavior, @p seed) -- the same generator arguments
-     *  the controller's core model consumes. */
+    /** A detector fed through observeOps() only. */
+    explicit OnlinePhaseDetector(const OnlinePhaseParams &params = {});
+
+    /** A detector that also generates its own ops for observe(), from
+     *  (@p behavior, @p seed) -- the same generator arguments the
+     *  controller's core model consumes. */
     OnlinePhaseDetector(const trace::IlpBehavior &behavior, uint64_t seed,
                         const OnlinePhaseParams &params = {});
 
     /**
-     * Fold the next @p instructions retired instructions into a
-     * feature vector and assign its phase.  Call once per controller
-     * interval, in execution order.
+     * Fold the interval's @p count > 0 ops @p ops, the next ones in
+     * program order, into a feature vector and assign its phase.
+     * Call once per controller interval, in execution order.
+     */
+    PhaseObservation observeOps(const ooo::MicroOp *ops, uint64_t count);
+
+    /**
+     * observeOps() over the next @p instructions ops of the detector's
+     * own stream (the behavior/seed constructor only).
      */
     PhaseObservation observe(uint64_t instructions);
 
@@ -113,12 +137,15 @@ class OnlinePhaseDetector
     uint64_t intervalsObserved() const { return observed_; }
 
   private:
-    std::vector<double> extract(uint64_t instructions);
     double distanceTo(const std::vector<double> &x,
                       const std::vector<double> &centroid) const;
 
     OnlinePhaseParams params_;
-    ooo::InstructionStream stream_;
+    /** observe()'s generator and its interval buffer. */
+    std::optional<ooo::InstructionStream> stream_;
+    std::vector<ooo::MicroOp> ops_;
+    /** Absolute index of the next op observed. */
+    uint64_t position_ = 0;
     uint64_t observed_ = 0;
     /** Centroids in raw feature space; distances are relative. */
     std::vector<std::vector<double>> centroids_;

@@ -6,8 +6,8 @@
 #include <unordered_map>
 
 #include "obs/span_profiler.h"
-#include "ooo/core_model.h"
 #include "ooo/uop_file.h"
+#include "sample/online_phase.h"
 #include "trace/record.h"
 #include "util/status.h"
 
@@ -285,12 +285,10 @@ namespace {
 
 /**
  * The shared interval loop behind both ILP profilers.  Each interval
- * is generated *once* into a buffer feeding both feature passes: the
- * dependency/latency moments (accumulated in generation order, so the
- * floating-point sums match the historical chunked extraction bit for
- * bit) and ooo::fastProfileBuffer() anchored at the interval's
- * absolute start index (the anchor fastProfile() derives from the
- * source position, so the dataflow-limit feature is unchanged too).
+ * is generated *once* into a buffer feeding ilpFeatures(), anchored
+ * at the interval's absolute start index (the anchor fastProfile()
+ * derives from the source position, so the dataflow-limit feature is
+ * unchanged too).
  * @p instructions caps the read (UINT64_MAX = read @p source to
  * exhaustion); @p exact asserts the source delivers every requested
  * instruction; @p pushCursor / @p popCursor mirror the cache-side
@@ -325,32 +323,9 @@ profileIlpSource(IlpIntervalProfile &profile, Source &source,
             break;
         }
 
-        double sum_d1 = 0.0;
-        double sum_d2 = 0.0;
-        double sum_lat = 0.0;
-        uint64_t with_src2 = 0;
-        uint64_t long_lat = 0;
-        for (uint64_t i = 0; i < got; ++i) {
-            const ooo::MicroOp &op = ops[i];
-            sum_d1 += static_cast<double>(op.src1_dist);
-            sum_d2 += static_cast<double>(op.src2_dist);
-            with_src2 += op.src2_dist ? 1 : 0;
-            sum_lat += static_cast<double>(op.latency);
-            long_lat += op.latency > 1 ? 1 : 0;
-        }
-
-        ooo::RunResult limit =
-            ooo::fastProfileBuffer(ops.data(), got, start);
-
         IntervalSignature sig;
         sig.index = static_cast<uint64_t>(profile.signatures.size());
-        double n = static_cast<double>(got);
-        sig.features.push_back(sum_d1 / n);
-        sig.features.push_back(sum_d2 / n);
-        sig.features.push_back(static_cast<double>(with_src2) / n);
-        sig.features.push_back(sum_lat / n);
-        sig.features.push_back(static_cast<double>(long_lat) / n);
-        sig.features.push_back(limit.ipc());
+        sig.features = ilpFeatures(ops.data(), got, start);
         profile.signatures.push_back(std::move(sig));
         produced += got;
         if (got < want)

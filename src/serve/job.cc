@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -34,6 +35,22 @@ JobSpec::label() const
 }
 
 namespace {
+
+/** json::Value::readU64() into a non-negative int field. */
+bool
+readInt(const json::Value &job, const std::string &key, int &out,
+        std::string &error)
+{
+    uint64_t value = static_cast<uint64_t>(out);
+    if (!job.readU64(key, value, error))
+        return false;
+    if (value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+        error = "\"" + key + "\" is out of range";
+        return false;
+    }
+    out = static_cast<int>(value);
+    return true;
+}
 
 /** Resolve the "apps" member ("all", a name, or an array of names). */
 bool
@@ -122,8 +139,11 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
         return false;
 
     spec.sampled = job.boolOr("sampled", false);
-    spec.refs = job.u64Or("refs", 150000);
-    spec.instrs = job.u64Or("instrs", 120000);
+    spec.refs = 150000;
+    spec.instrs = 120000;
+    if (!job.readU64("refs", spec.refs, error) ||
+        !job.readU64("instrs", spec.instrs, error))
+        return false;
     double deadline_ms = job.numberOr("deadline_ms", 0.0);
     spec.deadline_s = deadline_ms > 0.0 ? deadline_ms / 1000.0 : 0.0;
     if (spec.refs == 0 || spec.instrs == 0) {
@@ -152,14 +172,15 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
             error = "\"sample\" must be an object";
             return false;
         }
-        spec.sample.clusters = static_cast<size_t>(
-            sample->u64Or("clusters", spec.sample.clusters));
-        spec.sample.interval_len =
-            sample->u64Or("interval", spec.sample.interval_len);
-        spec.sample.warmup_len =
-            sample->u64Or("warmup", spec.sample.warmup_len);
-        spec.sample.cold_prefix_len =
-            sample->u64Or("cold_prefix", spec.sample.cold_prefix_len);
+        uint64_t clusters = spec.sample.clusters;
+        if (!sample->readU64("clusters", clusters, error) ||
+            !sample->readU64("interval", spec.sample.interval_len,
+                             error) ||
+            !sample->readU64("warmup", spec.sample.warmup_len, error) ||
+            !sample->readU64("cold_prefix", spec.sample.cold_prefix_len,
+                             error))
+            return false;
+        spec.sample.clusters = static_cast<size_t>(clusters);
         if (spec.sample.clusters == 0 || spec.sample.interval_len == 0) {
             error = "sample clusters and interval must be positive";
             return false;
@@ -175,8 +196,9 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
             error = "interval-run needs a single application";
             return false;
         }
-        spec.entries =
-            static_cast<int>(job.u64Or("entries", 32));
+        spec.entries = 32;
+        if (!readInt(job, "entries", spec.entries, error))
+            return false;
         std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
         if (std::find(sizes.begin(), sizes.end(), spec.entries) ==
             sizes.end()) {
@@ -185,13 +207,11 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
             return false;
         }
         core::IntervalPolicyParams &p = spec.params;
-        p.interval_instrs = job.u64Or("interval", p.interval_instrs);
-        p.probe_period = static_cast<int>(job.u64Or(
-            "probe_period", static_cast<uint64_t>(p.probe_period)));
-        p.confidence_needed = static_cast<int>(job.u64Or(
-            "confidence", static_cast<uint64_t>(p.confidence_needed)));
-        p.probe_period_max = static_cast<int>(job.u64Or(
-            "probe_max", static_cast<uint64_t>(p.probe_period_max)));
+        if (!job.readU64("interval", p.interval_instrs, error) ||
+            !readInt(job, "probe_period", p.probe_period, error) ||
+            !readInt(job, "confidence", p.confidence_needed, error) ||
+            !readInt(job, "probe_max", p.probe_period_max, error))
+            return false;
         p.phase_distance_threshold = job.numberOr(
             "phase_threshold", p.phase_distance_threshold);
         std::string trigger = job.stringOr("trigger", "period");

@@ -165,8 +165,17 @@ StudyServer::handleLine(const std::shared_ptr<Connection> &conn,
         return true;
     }
 
+    // status and cancel name a job; a malformed id is an error, not
+    // job 0.
+    uint64_t id = 0;
+    std::string id_error;
+    if ((op == "status" || op == "cancel") &&
+        !request.readU64("id", id, id_error)) {
+        sendError(conn, id_error);
+        return true;
+    }
+
     if (op == "status") {
-        uint64_t id = request.u64Or("id", 0);
         std::string state = "unknown";
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -189,7 +198,6 @@ StudyServer::handleLine(const std::shared_ptr<Connection> &conn,
     }
 
     if (op == "cancel") {
-        uint64_t id = request.u64Or("id", 0);
         std::string state = "unknown";
         std::shared_ptr<Job> dequeued;
         {

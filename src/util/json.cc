@@ -199,20 +199,43 @@ Value::numberOr(const std::string &key, double fallback) const
     return v && v->type == Type::Number ? v->number : fallback;
 }
 
+namespace {
+
+/** @p v as a u64 (see Value::u64Or); false when it holds none. */
+bool
+asU64(const Value &v, uint64_t &out)
+{
+    if (v.type == Value::Type::Number) {
+        // Every integral double in [0, 2^64) converts exactly; any
+        // other value would be truncated or undefined behaviour.
+        if (!(v.number >= 0.0 && v.number < 0x1p64) ||
+            std::trunc(v.number) != v.number)
+            return false;
+        out = static_cast<uint64_t>(v.number);
+        return true;
+    }
+    return v.type == Value::Type::String && parseU64(v.string, out);
+}
+
+} // namespace
+
 uint64_t
 Value::u64Or(const std::string &key, uint64_t fallback) const
 {
     const Value *v = find(key);
-    if (!v)
-        return fallback;
-    if (v->type == Type::Number && v->number >= 0.0)
-        return static_cast<uint64_t>(v->number);
-    if (v->type == Type::String) {
-        uint64_t out = 0;
-        if (parseU64(v->string, out))
-            return out;
-    }
-    return fallback;
+    uint64_t out = 0;
+    return v && asU64(*v, out) ? out : fallback;
+}
+
+bool
+Value::readU64(const std::string &key, uint64_t &out,
+               std::string &error) const
+{
+    const Value *v = find(key);
+    if (!v || asU64(*v, out))
+        return true;
+    error = "\"" + key + "\" must be an integer in [0, 2^64)";
+    return false;
 }
 
 bool

@@ -121,11 +121,23 @@ struct Value
     double numberOr(const std::string &key, double fallback) const;
 
     /**
-     * Member as a u64: a JSON number (truncated; exact below 2^53) or
-     * a decimal string -- the spill/value format stores 64-bit fields
-     * as strings so they survive the double round-trip bit-exactly.
+     * Member as a u64: a JSON number that is an integer in [0, 2^64)
+     * (exact below 2^53) or a decimal string -- the spill/value format
+     * stores 64-bit fields as strings so they survive the double
+     * round-trip bit-exactly.  @p fallback when absent or anything
+     * else (a fraction, a negative or out-of-range number, another
+     * type).
      */
     uint64_t u64Or(const std::string &key, uint64_t fallback) const;
+
+    /**
+     * u64Or() for input that must not fall back silently: sets @p out
+     * when @p key holds a u64, leaves it when @p key is absent, and
+     * returns false with @p error naming the key when @p key holds
+     * anything else.
+     */
+    bool readU64(const std::string &key, uint64_t &out,
+                 std::string &error) const;
 
     /** Member as a bool; @p fallback when absent or not a bool. */
     bool boolOr(const std::string &key, bool fallback) const;

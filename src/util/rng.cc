@@ -108,6 +108,25 @@ Rng::geometric(double p, uint64_t cap)
     return k > cap ? cap : k;
 }
 
+double
+Rng::geometricLog(double p)
+{
+    capAssert(p > 0.0 && p <= 1.0, "geometric requires p in (0,1]");
+    return std::log1p(-p);
+}
+
+uint64_t
+Rng::geometric(double p, uint64_t cap, double log_q)
+{
+    if (p >= 1.0)
+        return 0;
+    double draw = std::floor(std::log1p(-uniform()) / log_q);
+    if (draw < 0.0)
+        draw = 0.0;
+    uint64_t k = static_cast<uint64_t>(draw);
+    return k > cap ? cap : k;
+}
+
 size_t
 Rng::weighted(const std::vector<double> &weights)
 {

@@ -53,6 +53,15 @@ class Rng
      */
     uint64_t geometric(double p, uint64_t cap);
 
+    /** geometric() with @p log_q = geometricLog(p) computed once by
+     *  the caller; the same draw, bit for bit (p == 1 still consumes
+     *  no random number). */
+    uint64_t geometric(double p, uint64_t cap, double log_q);
+
+    /** The denominator of geometric(p, cap)'s inverse CDF,
+     *  log1p(-p), for p in (0, 1]. */
+    static double geometricLog(double p);
+
     /**
      * Draw an index from a discrete distribution given by non-negative
      * weights.  The weights need not be normalized.

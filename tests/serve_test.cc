@@ -442,6 +442,15 @@ TEST(ServeJobTest, ValidationErrors)
     fails("{\"kind\":\"cache-sweep\",\"apps\":[]}", "at least one");
     fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"refs\":0}",
           "positive");
+    // Counts must be integers in [0, 2^64): a cast of 1e30 would be
+    // undefined behaviour and 2.5 would truncate silently.
+    fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"refs\":1e30}",
+          "\"refs\" must be an integer in [0, 2^64)");
+    fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"refs\":2.5}",
+          "\"refs\" must be an integer in [0, 2^64)");
+    fails("{\"kind\":\"interval-run\",\"apps\":\"li\","
+          "\"entries\":1e10}",
+          "\"entries\" is out of range");
     fails("{\"kind\":\"interval-run\",\"apps\":[\"li\",\"gcc\"]}",
           "single application");
     fails("{\"kind\":\"interval-run\",\"apps\":\"li\",\"entries\":33}",
@@ -771,6 +780,15 @@ TEST(ServeServerTest, ProtocolErrorsKeepConnectionOpen)
     client.waitFor([](const json::Value &e) {
         return e.stringOr("event") == "error" &&
                e.stringOr("error").find("unknown application") !=
+                   std::string::npos;
+    });
+
+    // A job id outside the u64 range is an error, not job 0.
+    EXPECT_TRUE(client.request("{\"op\":\"status\",\"id\":1e30}"));
+    client.waitFor([](const json::Value &e) {
+        return e.stringOr("event") == "error" &&
+               e.stringOr("error").find(
+                   "\"id\" must be an integer in [0, 2^64)") !=
                    std::string::npos;
     });
 

@@ -222,6 +222,37 @@ TEST(RngTest, GeometricMeanAndCap)
         ASSERT_LE(rng.geometric(0.001, 5), 5u);
 }
 
+TEST(RngTest, HoistedGeometricMatchesGeometric)
+{
+    // geometric(p, cap, geometricLog(p)) is geometric(p, cap) with its
+    // denominator computed once: the same value and the same generator
+    // state afterwards for every p, including p == 1, which consumes
+    // no random number.
+    std::vector<double> grid = {1e-9, 1e-3, 0.01, 1.0 / 3.0, 0.5, 0.75,
+                                0.999, 1.0 - 0x1p-52, 1.0};
+    for (double mean = 1.0; mean <= 64.0; mean += 0.5)
+        grid.push_back(1.0 / mean); // the generators' 1/mean distances
+    for (double p : grid) {
+        const double log_q = Rng::geometricLog(p);
+        for (uint64_t cap : {uint64_t{0}, uint64_t{7}, uint64_t{255},
+                             UINT64_MAX}) {
+            Rng plain(41);
+            Rng hoisted(41);
+            for (int i = 0; i < 500; ++i) {
+                ASSERT_EQ(plain.geometric(p, cap),
+                          hoisted.geometric(p, cap, log_q))
+                    << "p=" << p << " cap=" << cap << " draw " << i;
+            }
+            ASSERT_EQ(plain.saveState(), hoisted.saveState())
+                << "p=" << p << " cap=" << cap;
+        }
+    }
+    Rng rng(43);
+    const Rng::State before = rng.saveState();
+    EXPECT_EQ(rng.geometric(1.0, 9, Rng::geometricLog(1.0)), 0u);
+    EXPECT_EQ(rng.saveState(), before);
+}
+
 TEST(RngTest, WeightedFollowsWeights)
 {
     Rng rng(19);
@@ -493,6 +524,34 @@ TEST(JsonTest, U64AndDoubleBitsRoundTripExactly)
         "{\"a\":7,\"b\":\"18446744073709551615\"}", parsed, error));
     EXPECT_EQ(parsed.u64Or("a", 0), 7u);
     EXPECT_EQ(parsed.u64Or("b", 0), 18446744073709551615ull);
+}
+
+TEST(JsonTest, U64ReadsOnlyIntegersInRange)
+{
+    json::Value parsed;
+    std::string error;
+    ASSERT_TRUE(json::parse("{\"max\":18446744073709549568,"
+                            "\"big\":1e30,\"two64\":18446744073709551616,"
+                            "\"frac\":2.5,\"neg\":-1,\"word\":true}",
+                            parsed, error));
+    // The largest double below 2^64 converts exactly.
+    EXPECT_EQ(parsed.u64Or("max", 0), 18446744073709549568ull);
+    // Everything else falls back instead of truncating or casting out
+    // of range.
+    for (const char *key : {"big", "two64", "frac", "neg", "word"})
+        EXPECT_EQ(parsed.u64Or(key, 9), 9u) << key;
+
+    uint64_t out = 3;
+    EXPECT_TRUE(parsed.readU64("absent", out, error));
+    EXPECT_EQ(out, 3u);
+    EXPECT_TRUE(parsed.readU64("max", out, error));
+    EXPECT_EQ(out, 18446744073709549568ull);
+    for (const char *key : {"big", "two64", "frac", "neg", "word"}) {
+        error.clear();
+        EXPECT_FALSE(parsed.readU64(key, out, error)) << key;
+        EXPECT_EQ(error, std::string("\"") + key +
+                             "\" must be an integer in [0, 2^64)");
+    }
 }
 
 TEST(JsonTest, StringEscapeRoundTripThroughParser)
