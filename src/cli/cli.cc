@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -279,12 +280,42 @@ selectApps(const std::string &which, bool cache_study, std::ostream &err,
     return {};
 }
 
-/** The --jobs flag: absent/1 = serial, 0 = every hardware thread. */
-int
-jobsFlag(const Options &options)
+/** The --jobs flag as given (@p fallback when absent).  Anything but
+ *  a non-negative integer that fits an int is a usage error: returns
+ *  false with a message, leaving @p jobs untouched. */
+bool
+jobsValue(const Options &options, int fallback, int &jobs,
+          std::ostream &err)
 {
-    uint64_t jobs = options.getU64("jobs", 1);
-    return jobs == 0 ? defaultJobs() : static_cast<int>(jobs);
+    auto it = options.flags.find("jobs");
+    if (it == options.flags.end()) {
+        jobs = fallback;
+        return true;
+    }
+    const std::string &text = it->second;
+    const char *last = text.data() + text.size();
+    int value = 0;
+    auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last || text[0] == '-') {
+        err << "capsim: --jobs must be a non-negative integer below "
+               "2^31 (0 = every hardware thread), got '"
+            << text << "'\n";
+        return false;
+    }
+    jobs = value;
+    return true;
+}
+
+/** The --jobs flag of a study: absent/1 = serial, 0 = every hardware
+ *  thread.  Returns false on a malformed value (see jobsValue()). */
+bool
+jobsFlag(const Options &options, int &jobs, std::ostream &err)
+{
+    if (!jobsValue(options, 1, jobs, err))
+        return false;
+    if (jobs == 0)
+        jobs = defaultJobs();
+    return true;
 }
 
 /** The --mem flag: "flat" (default) keeps the fixed-latency miss
@@ -548,6 +579,9 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
     mem::MemConfig mem_config;
     if (!memFlag(options, mem_config, err))
         return 2;
+    int jobs = 1;
+    if (!jobsFlag(options, jobs, err))
+        return 2;
     if (sampled && mem_config.isDram()) {
         err << "capsim: --sample supports --mem=flat only (sampled "
                "reconstruction assumes a position-independent miss "
@@ -565,8 +599,7 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
 
     if (sampled) {
         sample::SampledCacheStudy study = sample::runSampledCacheStudy(
-            model, apps, refs, sparams, 8, jobsFlag(options),
-            session.hooks());
+            model, apps, refs, sparams, 8, jobs, session.hooks());
         serve::renderSampledCacheSweep(out, names, study.perf, refs);
         if (int rc = writeTelemetry(options, study.telemetry, err))
             return rc;
@@ -574,7 +607,7 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
     }
 
     core::CacheStudy study = core::runCacheStudy(
-        model, apps, refs, 8, jobsFlag(options), session.hooks());
+        model, apps, refs, 8, jobs, session.hooks());
     serve::renderCacheSweep(out, names, study.perf, refs);
     if (int rc = writeTelemetry(options, study.telemetry, err))
         return rc;
@@ -600,6 +633,9 @@ cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
     mem::MemConfig mem_config;
     if (!memFlag(options, mem_config, err))
         return 2;
+    int jobs = 1;
+    if (!jobsFlag(options, jobs, err))
+        return 2;
     if (mem_config.isDram()) {
         err << "capsim: note: the IQ-side machine models no memory "
                "hierarchy; --mem=dram is accepted but has no effect "
@@ -615,17 +651,15 @@ cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
 
     if (sampled) {
         sample::SampledIqStudy study = sample::runSampledIqStudy(
-            model, apps, instrs, sparams, jobsFlag(options),
-            session.hooks());
+            model, apps, instrs, sparams, jobs, session.hooks());
         serve::renderSampledIqSweep(out, names, study.perf, instrs);
         if (int rc = writeTelemetry(options, study.telemetry, err))
             return rc;
         return writeObsOutputs(session, study.telemetry, err);
     }
 
-    core::IqStudy study = core::runIqStudy(model, apps, instrs,
-                                           jobsFlag(options),
-                                           session.hooks());
+    core::IqStudy study =
+        core::runIqStudy(model, apps, instrs, jobs, session.hooks());
     serve::renderIqSweep(out, names, study.perf, instrs);
     if (int rc = writeTelemetry(options, study.telemetry, err))
         return rc;
@@ -1085,7 +1119,9 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
     if (!ok)
         return 2;
     sample::SampleParams params = sampleParamsFromKnobs(options);
-    int jobs = jobsFlag(options);
+    int jobs = 1;
+    if (!jobsFlag(options, jobs, err))
+        return 2;
     bool validate = options.flags.count("validate") > 0;
     bool check = options.flags.count("check") > 0;
     double mae_max = static_cast<double>(options.getU64("mae-max", 2));
@@ -1439,8 +1475,8 @@ cmdServe(const Options &options, std::ostream &out, std::ostream &err)
     config.cache_capacity =
         static_cast<size_t>(options.getU64("cache", 4096));
     config.spill_path = options.get("spill");
-    uint64_t jobs = options.getU64("jobs", 0);
-    config.jobs = static_cast<int>(jobs);
+    if (!jobsValue(options, 0, config.jobs, err))
+        return 2;
     config.heartbeats = options.flags.count("heartbeats") > 0;
     config.heartbeat_period_s =
         options.getDouble("heartbeat-period", 1.0);

@@ -1,15 +1,12 @@
 #include "window_sweep.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/status.h"
 
 namespace cap::ooo {
 
 namespace {
-
-constexpr Cycles kNotIssued = UINT64_MAX;
 
 /** Shared op-ring capacity and lockstep chunk.  A lane dispatches at
  *  most (target + issue_width + queue_entries) ops before its issued
@@ -37,39 +34,27 @@ WindowLane::WindowLane(int queue_entries, int dispatch_width,
                        int issue_width, uint64_t base_index)
     : queue_entries_(queue_entries), dispatch_width_(dispatch_width),
       issue_width_(issue_width), base_(base_index),
-      next_index_(base_index), reclaimed_(base_index)
+      next_index_(base_index)
 {
     capAssert(queue_entries >= 1, "queue must have entries");
     capAssert(dispatch_width >= 1 && issue_width >= 1,
               "machine widths must be positive");
 
-    // The queue occupies the contiguous index range
-    // [reclaimed_, next_index_) of span <= queue_entries, so a
-    // power-of-two ring of at least that many slots keeps live
-    // entries collision-free.
-    uint64_t entry_size = nextPow2(static_cast<uint64_t>(queue_entries));
-    entry_mask_ = entry_size - 1;
-    ready_words_.resize((entry_size + 63) / 64, 0);
-    ready_at_.resize(entry_size, 0);
-    latency_.resize(entry_size, 0);
-    pending_.resize(entry_size, 0);
-    issued_flag_.resize(entry_size, 0);
-    eligible_at_.resize(entry_size, 0);
-    deps_.resize(entry_size);
+    // Op i's dispatch reads the reclaim cycle of op i - Q.
+    uint64_t reclaim_size = nextPow2(static_cast<uint64_t>(queue_entries));
+    reclaim_mask_ = reclaim_size - 1;
+    reclaim_at_.resize(reclaim_size, 0);
 
-    // Sources reach at most kMaxDepDistance behind the youngest
-    // dispatched instruction; dispatch clears the slot it claims, and
-    // the ring is deep enough that the cleared slot's previous owner
-    // can no longer be named as a source.
-    uint64_t completion_size = nextPow2(
-        static_cast<uint64_t>(queue_entries) + kMaxDepDistance + 2);
+    // Sources reach at most kMaxDepDistance back, so a deeper ring
+    // still holds every producer an op can name.  A slot no in-run op
+    // has written reads 0: a source before the base index counts as
+    // complete at cycle 0, matching CoreModel::seekTo().
+    uint64_t completion_size = nextPow2(kMaxDepDistance + 1);
     completion_mask_ = completion_size - 1;
-    // Mirror CoreModel: a seeked run treats pre-history producers as
-    // complete at cycle 0; from index 0 every source is in-run.
-    completion_.resize(completion_size, base_index ? 0 : kNotIssued);
+    completion_.resize(completion_size, 0);
 
-    calendar_.resize(128);
-    calendar_mask_ = calendar_.size() - 1;
+    counts_.resize(256);
+    counts_mask_ = counts_.size() - 1;
 
     occ_counts_.resize(static_cast<size_t>(queue_entries) + 1, 0);
 }
@@ -85,185 +70,88 @@ WindowLane::addMark(uint64_t issue_target)
     mark_targets_.push_back(issue_target);
 }
 
-void
-WindowLane::schedule(uint64_t index, Cycles at)
+WindowLane::CycleCounts &
+WindowLane::countsAt(Cycles cycle)
 {
-    Cycles horizon = at - tick_;
-    if (horizon >= calendar_.size())
-        growCalendar(horizon);
-    uint32_t slot = static_cast<uint32_t>(index & entry_mask_);
-    calendar_[at & calendar_mask_].push_back(slot);
-    eligible_at_[slot] = at;
-    ++calendar_count_;
+    if (cycle - tick_ > counts_.size())
+        growCounts(cycle);
+    return counts_[cycle & counts_mask_];
 }
 
 void
-WindowLane::growCalendar(Cycles horizon)
+WindowLane::growCounts(Cycles cycle)
 {
-    size_t want = calendar_.size();
-    while (want <= horizon + 1)
+    // The ring holds cycles tick_ + 1 .. tick_ + size; re-slot them.
+    size_t want = counts_.size();
+    while (cycle - tick_ > want)
         want *= 2;
-    std::vector<std::vector<uint32_t>> grown(want);
-    for (auto &bucket : calendar_)
-        for (uint32_t slot : bucket)
-            grown[eligible_at_[slot] & (want - 1)].push_back(slot);
-    calendar_ = std::move(grown);
-    calendar_mask_ = want - 1;
+    std::vector<CycleCounts> grown(want);
+    for (Cycles c = tick_ + 1; c <= tick_ + counts_.size(); ++c)
+        grown[c & (want - 1)] = counts_[c & counts_mask_];
+    counts_ = std::move(grown);
+    counts_mask_ = want - 1;
 }
 
 void
-WindowLane::issueOne(uint64_t index)
+WindowLane::place(const MicroOp &op)
 {
-    uint64_t slot = index & entry_mask_;
-    issued_flag_[slot] = 1;
-    Cycles complete = tick_ + latency_[slot];
-    completion_[index & completion_mask_] = complete;
-    std::vector<uint64_t> &deps = deps_[slot];
-    for (uint64_t dep : deps) {
-        uint64_t dslot = dep & entry_mask_;
-        if (ready_at_[dslot] < complete)
-            ready_at_[dslot] = complete;
-        // complete > tick_, so a dependent scheduled here is always a
-        // future calendar event, never a missed promotion.
-        if (--pending_[dslot] == 0)
-            schedule(dep, ready_at_[dslot]);
-    }
-    deps.clear();
-}
+    // Dispatched in cycle t = tick_ + 1, after that cycle's issue
+    // phase, so the op is eligible from t + 1 on, and from the cycle
+    // each source completes.
+    const uint64_t index = next_index_;
+    Cycles eligible = tick_ + 2;
+    if (op.src1_dist)
+        eligible = std::max(
+            eligible, completion_[(index - op.src1_dist) & completion_mask_]);
+    if (op.src2_dist)
+        eligible = std::max(
+            eligible, completion_[(index - op.src2_dist) & completion_mask_]);
 
-void
-WindowLane::dispatchOne(const MicroOp &op)
-{
-    uint64_t index = next_index_;
-    uint64_t slot = index & entry_mask_;
-    latency_[slot] = op.latency;
-    issued_flag_[slot] = 0;
-    completion_[index & completion_mask_] = kNotIssued;
+    // Oldest-first select: every older op is placed, so the op issues
+    // in the first cycle from `eligible` on that older ops left short
+    // of the issue width.
+    Cycles issue = eligible;
+    while (countsAt(issue).issued == static_cast<uint32_t>(issue_width_))
+        ++issue;
+    ++countsAt(issue).issued;
+    completion_[index & completion_mask_] = issue + op.latency;
 
-    Cycles ready = 0;
-    uint8_t pending = 0;
-    if (op.src1_dist) {
-        uint64_t src = index - op.src1_dist;
-        Cycles c = completion_[src & completion_mask_];
-        if (c == kNotIssued) {
-            deps_[src & entry_mask_].push_back(index);
-            ++pending;
-        } else if (c > ready) {
-            ready = c;
-        }
-    }
-    if (op.src2_dist) {
-        uint64_t src = index - op.src2_dist;
-        Cycles c = completion_[src & completion_mask_];
-        if (c == kNotIssued) {
-            deps_[src & entry_mask_].push_back(index);
-            ++pending;
-        } else if (c > ready) {
-            ready = c;
-        }
-    }
-    ready_at_[slot] = ready;
-    pending_[slot] = pending;
+    // RUU order: reclaimed once it and every older op have issued.
+    last_reclaim_ = std::max(last_reclaim_, issue);
+    ++countsAt(last_reclaim_).reclaimed;
+    reclaim_at_[index & reclaim_mask_] = last_reclaim_;
+
+    // The next op dispatches in this cycle unless the width is spent,
+    // and not before the op Q older than it is reclaimed.
     ++next_index_;
-    // Dispatch happens after the issue phase: the earliest issue
-    // cycle is the next one even when every source is complete.
-    if (pending == 0)
-        schedule(index, ready > tick_ ? ready : tick_ + 1);
-}
-
-int
-WindowLane::issueFromWord(uint64_t word_index, uint64_t select_mask,
-                          int budget)
-{
-    int issued_now = 0;
-    uint64_t bits = ready_words_[word_index] & select_mask;
-    uint64_t start = reclaimed_ & entry_mask_;
-    while (bits && issued_now < budget) {
-        uint64_t slot =
-            (word_index << 6) +
-            static_cast<uint64_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        ready_words_[word_index] &= ~(uint64_t{1} << (slot & 63));
-        --ready_count_;
-        // Recover the absolute index: unissued entries live in
-        // [reclaimed_, reclaimed_ + ring span).
-        issueOne(reclaimed_ + ((slot - start) & entry_mask_));
-        ++issued_now;
-    }
-    return issued_now;
+    ++dispatched_now_;
+    next_dispatch_ = tick_ + 1 + (dispatched_now_ == dispatch_width_);
+    uint64_t q = static_cast<uint64_t>(queue_entries_);
+    if (next_index_ - base_ >= q)
+        next_dispatch_ = std::max(
+            next_dispatch_, reclaim_at_[(next_index_ - q) & reclaim_mask_]);
 }
 
 void
-WindowLane::tickOnce(const MicroOp *ring, uint64_t ring_mask,
-                     uint64_t avail_end, bool exhausted)
+WindowLane::finishCycle()
 {
     ++tick_;
-
-    // Promote this cycle's calendar bucket into the ready bitmap.
-    std::vector<uint32_t> &bucket = calendar_[tick_ & calendar_mask_];
-    if (!bucket.empty()) {
-        for (uint32_t slot : bucket)
-            ready_words_[slot >> 6] |= uint64_t{1} << (slot & 63);
-        ready_count_ += bucket.size();
-        calendar_count_ -= bucket.size();
-        bucket.clear();
-    }
-
-    // Issue: oldest-first over the eligible set, like CoreModel's
-    // in-order queue scan with an issue-width budget.  Ring order
-    // from the reclaim point is index order, so scan the bitmap
-    // starting at the oldest slot and wrap.
-    int issued_now = 0;
-    if (ready_count_ > 0) {
-        uint64_t start = reclaimed_ & entry_mask_;
-        uint64_t first_word = start >> 6;
-        uint64_t words = ready_words_.size();
-        uint64_t high = ~uint64_t{0} << (start & 63);
-        issued_now += issueFromWord(first_word, high,
-                                    issue_width_ - issued_now);
-        for (uint64_t step = 1;
-             step < words && issued_now < issue_width_ && ready_count_;
-             ++step) {
-            uint64_t w = first_word + step;
-            if (w >= words)
-                w -= words;
-            issued_now += issueFromWord(w, ~uint64_t{0},
-                                        issue_width_ - issued_now);
-        }
-        if (issued_now < issue_width_ && ready_count_ && ~high)
-            issued_now +=
-                issueFromWord(first_word, ~high,
-                              issue_width_ - issued_now);
-    }
-    issued_count_ += static_cast<uint64_t>(issued_now);
+    CycleCounts &counts = counts_[tick_ & counts_mask_];
+    issued_count_ += counts.issued;
+    // Reclaim precedes dispatch within a cycle; the histogram samples
+    // the occupancy after both.
+    occupancy_ = occupancy_ - counts.reclaimed + dispatched_now_;
+    if (dispatched_now_ < dispatch_width_ &&
+        occupancy_ >= static_cast<uint64_t>(queue_entries_))
+        ++stall_cycles_;
+    ++occ_counts_[occupancy_];
+    counts = CycleCounts{};
+    dispatched_now_ = 0;
     while (next_mark_ < mark_targets_.size() &&
            issued_count_ >= mark_targets_[next_mark_]) {
         mark_ticks_.push_back(tick_);
         ++next_mark_;
     }
-
-    // Reclaim the issued prefix (RUU order).
-    while (reclaimed_ < next_index_ &&
-           issued_flag_[reclaimed_ & entry_mask_])
-        ++reclaimed_;
-
-    // Dispatch into freed slots.
-    int dispatched_now = 0;
-    uint64_t occ = next_index_ - reclaimed_;
-    while (dispatched_now < dispatch_width_ &&
-           occ < static_cast<uint64_t>(queue_entries_)) {
-        if (next_index_ == avail_end) {
-            capAssert(exhausted, "window lane op ring underrun");
-            break;
-        }
-        dispatchOne(ring[next_index_ & ring_mask]);
-        ++dispatched_now;
-        ++occ;
-    }
-    if (dispatched_now < dispatch_width_ &&
-        occ >= static_cast<uint64_t>(queue_entries_))
-        ++stall_cycles_;
-    ++occ_counts_[occ];
 }
 
 void
@@ -272,36 +160,21 @@ WindowLane::advanceTo(uint64_t issue_target, const MicroOp *ring,
                       bool exhausted)
 {
     while (issued_count_ < issue_target) {
-        uint64_t occ = next_index_ - reclaimed_;
-        if (ready_count_ == 0 &&
-            occ == static_cast<uint64_t>(queue_entries_)) {
-            // Full queue with nothing eligible: every cycle until the
-            // next wakeup is a pure dispatch-stall cycle at constant
-            // occupancy.  Account them in bulk.
-            capAssert(calendar_count_ > 0,
-                      "window lane wedged: full queue with no wakeups");
-            Cycles t = tick_ + 1;
-            uint64_t probes = 0;
-            while (calendar_[t & calendar_mask_].empty()) {
-                ++t;
-                capAssert(++probes <= calendar_mask_,
-                          "window lane calendar scan overran horizon");
+        // The counts of cycle t are final once every op dispatched by
+        // t is placed: a later op issues and is reclaimed after t.
+        while (next_dispatch_ <= tick_ + 1) {
+            if (next_index_ == avail_end) {
+                capAssert(exhausted, "window lane op ring underrun");
+                break;
             }
-            if (t > tick_ + 1) {
-                uint64_t skip = t - tick_ - 1;
-                tick_ += skip;
-                stall_cycles_ += skip;
-                occ_counts_[static_cast<size_t>(queue_entries_)] += skip;
-            }
-        } else if (ready_count_ == 0 && occ == 0 &&
-                   calendar_count_ == 0 && next_index_ == avail_end) {
-            capAssert(exhausted, "window lane op ring underrun");
+            place(ring[next_index_ & ring_mask]);
+        }
+        if (issued_count_ == next_index_ - base_)
             fatal("instruction source exhausted at %llu issued "
                   "instructions (advance target %llu)",
                   static_cast<unsigned long long>(issued_count_),
                   static_cast<unsigned long long>(issue_target));
-        }
-        tickOnce(ring, ring_mask, avail_end, exhausted);
+        finishCycle();
     }
 }
 

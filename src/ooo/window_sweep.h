@@ -6,27 +6,25 @@
  * The paper's IQ study (Section 5.3, Figures 9-11) evaluates every
  * queue size with an independent CoreModel run over the same op
  * stream.  CoreModel's cost is a per-cycle scan of the whole window,
- * but with the study's machine (RUU reclaim, no value prediction) the
- * tick sequence is a pure dataflow consequence of the op stream:
+ * but with the study's machine (RUU reclaim, no value prediction)
+ * every op's dispatch, issue and reclaim cycles follow in closed form
+ * from the ops before it (docs/PERF.md section 7):
  *
- *   - An instruction becomes *eligible* at max(ready, dispatch+1)
- *     where ready = max over sources of (source issue cycle + source
- *     latency); a source issued in cycle t completes at t+latency > t,
- *     so wakeup/select atomicity never lets a dependent issue in its
- *     producer's cycle.
- *   - Selection is oldest-first, and dispatch happens after the issue
- *     phase of a cycle, so the issue cycle of instruction i is
- *     independent of every instruction with a larger index.
+ *   - dispatch d_i = max(d_{i-1}, d_{i-D} + 1, R_{i-Q}, 1) for
+ *     dispatch width D and queue size Q;
+ *   - eligibility e_i = max(d_i + 1, source issue + source latency);
+ *   - issue s_i = the first cycle from e_i in which older ops issued
+ *     fewer than the issue width W (oldest-first select);
+ *   - reclaim R_i = max(R_{i-1}, s_i) (RUU order).
  *
  * WindowSweeper exploits this: it generates the op stream once into a
- * shared ring and runs one event-driven WindowLane per queue size.  A
- * lane does O(log W) work per instruction (a ready heap plus a
- * completion-calendar ring) instead of O(window) work per cycle, and
- * bulk-accounts full-queue stall regions, yet reproduces CoreModel's
- * cycle count, per-interval boundaries, counters and occupancy
- * histogram bit-identically -- the differential suite
+ * shared ring and runs one WindowLane per queue size.  A lane places
+ * each op once, in program order, and keeps per-cycle issue and
+ * reclaim counts; closing a cycle costs O(1).  It reproduces
+ * CoreModel's cycle count, per-interval boundaries, counters and
+ * occupancy histogram bit-identically -- the differential suite
  * (tests/windowsweep_test.cc) pins every lane against an independent
- * CoreModel run.
+ * CoreModel run, on the study machine and on a grid of other shapes.
  *
  * Exactness breaks when the *live* machine is perturbed mid-run
  * (queue resize drains, clock-switch stalls): like BoundarySweeper,
@@ -51,9 +49,12 @@
 namespace cap::ooo {
 
 /**
- * Event-driven simulation of one queue size.  Timing-equivalent to a
+ * Closed-form simulation of one queue size.  Timing-equivalent to a
  * CoreModel with the same parameters (RUU mode, no value prediction);
- * owned and fed by WindowSweeper.
+ * owned and fed by WindowSweeper.  Before it closes cycle t a lane
+ * places every op dispatched by t -- exactly the ops CoreModel has
+ * dispatched when it ends cycle t -- so nextIndex() and the shared
+ * ring's overwrite guard mean what they mean for a ticking machine.
  */
 class WindowLane
 {
@@ -107,54 +108,50 @@ class WindowLane
     }
 
   private:
-    void tickOnce(const MicroOp *ring, uint64_t ring_mask,
-                  uint64_t avail_end, bool exhausted);
-    void issueOne(uint64_t index);
-    /** Issue up to the width budget from @p word_index under
-     *  @p select_mask; returns the instructions issued. */
-    int issueFromWord(uint64_t word_index, uint64_t select_mask,
-                      int budget);
-    void dispatchOne(const MicroOp &op);
-    void schedule(uint64_t index, Cycles at);
-    void growCalendar(Cycles horizon);
+    /** Issues and reclaims that fall in one cycle. */
+    struct CycleCounts
+    {
+        uint32_t issued = 0;
+        uint32_t reclaimed = 0;
+    };
+
+    /** Place op next_index_, dispatched in cycle tick_ + 1: record its
+     *  issue, completion and reclaim cycles. */
+    void place(const MicroOp &op);
+    /** Close cycle tick_ + 1: fold its counts into the totals. */
+    void finishCycle();
+    /** Counts of a cycle after tick_, growing the ring to reach it. */
+    CycleCounts &countsAt(Cycles cycle);
+    void growCounts(Cycles cycle);
 
     int queue_entries_;
     int dispatch_width_;
     int issue_width_;
     uint64_t base_;
 
-    /** Queue is the contiguous index range [reclaimed_, next_index_);
-     *  occupancy is the difference (RUU reclaim order). */
+    /** Ops before next_index_ are placed: dispatched by cycle tick_ + 1
+     *  (by tick_ between advances). */
     uint64_t next_index_;
-    uint64_t reclaimed_;
+    /** Cycle in which op next_index_ dispatches, given the ops placed. */
+    Cycles next_dispatch_ = 1;
+    /** Ops placed in cycle tick_ + 1. */
+    int dispatched_now_ = 0;
+    /** Reclaim cycle of the youngest placed op. */
+    Cycles last_reclaim_ = 0;
+    uint64_t occupancy_ = 0;
     uint64_t issued_count_ = 0;
     Cycles tick_ = 0;
     uint64_t stall_cycles_ = 0;
 
-    /** Per-entry state rings indexed by instruction number. */
-    uint64_t entry_mask_;
-    std::vector<Cycles> ready_at_;
-    std::vector<uint32_t> latency_;
-    std::vector<uint8_t> pending_;
-    std::vector<uint8_t> issued_flag_;
-    std::vector<Cycles> eligible_at_;
-    std::vector<std::vector<uint64_t>> deps_;
-
-    /** Completion-cycle ring (kNotIssued sentinel while in flight). */
+    /** Reclaim cycle of each of the last queue_entries_ ops. */
+    uint64_t reclaim_mask_;
+    std::vector<Cycles> reclaim_at_;
+    /** Completion cycle (issue + latency) by instruction number. */
     uint64_t completion_mask_;
     std::vector<Cycles> completion_;
-
-    /** Eligible-entry bitmap over the entry ring; issue selects
-     *  oldest-first by scanning ring slots from the reclaim point. */
-    std::vector<uint64_t> ready_words_;
-    uint64_t ready_count_ = 0;
-
-    /** Calendar ring: bucket t holds entry-ring slots becoming
-     *  eligible at cycle t; grown when a latency outruns the
-     *  horizon. */
-    std::vector<std::vector<uint32_t>> calendar_;
-    uint64_t calendar_mask_;
-    uint64_t calendar_count_ = 0;
+    /** Counts of cycles tick_ + 1 .. tick_ + size, by cycle. */
+    uint64_t counts_mask_;
+    std::vector<CycleCounts> counts_;
 
     std::vector<uint64_t> occ_counts_;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 namespace cap {
 
@@ -153,7 +154,8 @@ defaultJobs()
     if (const char *env = std::getenv("CAPSIM_JOBS")) {
         char *end = nullptr;
         long parsed = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && parsed > 0)
+        if (end && *end == '\0' && parsed > 0 &&
+            parsed <= std::numeric_limits<int>::max())
             return static_cast<int>(parsed);
     }
     unsigned hardware = std::thread::hardware_concurrency();

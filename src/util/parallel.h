@@ -130,8 +130,8 @@ class ThreadPool
 
 /**
  * Worker threads to use by default: the CAPSIM_JOBS environment
- * variable when set to a positive integer, otherwise the hardware
- * concurrency (at least 1).
+ * variable when set to a positive integer that fits an int, otherwise
+ * the hardware concurrency (at least 1).
  */
 int defaultJobs();
 

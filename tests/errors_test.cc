@@ -4,8 +4,11 @@
  * (panic) handling across the public API.
  */
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include "trace/patterns.h"
 #include "trace/stream.h"
 #include "trace/workloads.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace cap {
@@ -239,6 +243,65 @@ TEST(ErrorPathsTest, UnknownCliCommandListsKnownCommands)
          {"apps", "timing", "cache-sweep", "iq-sweep", "interval-run",
           "serve", "client", "help"})
         EXPECT_NE(err.str().find(name), std::string::npos) << name;
+}
+
+TEST(ErrorPathsTest, MalformedJobsIsAUsageError)
+{
+    // Each value would otherwise reach the worker pool as a negative
+    // or wrapped count, or silently run serial.  serve is given no
+    // transport, so a missed check still ends in a usage error, but
+    // one that does not name --jobs.
+    const std::vector<std::vector<std::string>> commands = {
+        {"cache-sweep", "li", "--refs", "2000"},
+        {"cache-sweep", "li", "--refs", "2000", "--sample"},
+        {"iq-sweep", "li", "--instrs", "2000"},
+        {"sample-run", "li", "--study", "iq", "--instrs", "2000"},
+        {"serve"}};
+    for (const char *jobs :
+         {"-1", "-0", "+2", "abc", "", "1.5", "4x", "2147483648",
+          "18446744073709551615", "99999999999999999999"}) {
+        for (std::vector<std::string> args : commands) {
+            args.insert(args.end(), {"--jobs", jobs});
+            std::ostringstream out, err;
+            EXPECT_EQ(cli::runCommand(args, out, err), 2)
+                << args[0] << " --jobs '" << jobs << "'";
+            EXPECT_NE(err.str().find("--jobs"), std::string::npos)
+                << args[0] << " --jobs '" << jobs << "': " << err.str();
+            EXPECT_EQ(out.str(), "") << args[0];
+        }
+    }
+}
+
+TEST(ErrorPathsTest, OutOfRangeJobsEnvIsIgnored)
+{
+    // CAPSIM_JOBS outside [1, 2^31) is ignored like a malformed one:
+    // --jobs 0 then means every hardware thread, not a wrapped count.
+    const char *saved = std::getenv("CAPSIM_JOBS");
+    std::string saved_value = saved ? saved : "";
+    unsetenv("CAPSIM_JOBS");
+    const int hardware = defaultJobs();
+    std::ostringstream serial;
+    std::ostringstream ignored;
+    ASSERT_EQ(cli::runCommand({"cache-sweep", "li", "--refs", "2000",
+                               "--jobs", "1"},
+                              serial, ignored),
+              0);
+    for (const char *env :
+         {"2147483648", "99999999999999999999", "-3", "0"}) {
+        setenv("CAPSIM_JOBS", env, 1);
+        EXPECT_EQ(defaultJobs(), hardware) << env;
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCommand({"cache-sweep", "li", "--refs", "2000",
+                                   "--jobs", "0"},
+                                  out, err),
+                  0)
+            << env;
+        EXPECT_EQ(out.str(), serial.str()) << env;
+    }
+    if (saved)
+        setenv("CAPSIM_JOBS", saved_value.c_str(), 1);
+    else
+        unsetenv("CAPSIM_JOBS");
 }
 
 } // namespace
