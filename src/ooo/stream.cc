@@ -20,6 +20,11 @@ InstructionStream::InstructionStream(const trace::IlpBehavior &behavior,
     }
     draws_.reserve(behavior_.phases.size());
     for (const trace::IlpPhase &phase : behavior_.phases) {
+        for (int latency : {phase.short_lat_cycles, phase.long_lat_cycles})
+            capAssert(latency >= 1 &&
+                          static_cast<uint32_t>(latency) <= kMaxLatency,
+                      "phase latency %d outside [1, %u]", latency,
+                      kMaxLatency);
         PhaseDraw draw;
         draw.floor = std::max<uint32_t>(1, phase.min_dep_distance);
         draw.p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);

@@ -19,6 +19,14 @@ namespace cap::ooo {
 /** Maximum dependency distance the generators produce. */
 constexpr uint32_t kMaxDepDistance = 256;
 
+/**
+ * Maximum execution latency of an op, in cycles.  A window lane keeps
+ * a ring of per-cycle counts that spans the longest latency in flight,
+ * so an unbounded latency would ask for unbounded memory.  The suite's
+ * longest latency is 90 cycles.
+ */
+constexpr uint32_t kMaxLatency = 65536;
+
 /** One dynamic instruction. */
 struct MicroOp
 {
@@ -29,7 +37,7 @@ struct MicroOp
     uint32_t src1_dist = 0;
     /** Distance to the second source's producer; 0 means none. */
     uint32_t src2_dist = 0;
-    /** Execution latency in cycles (>= 1). */
+    /** Execution latency in cycles, in [1, kMaxLatency]. */
     uint32_t latency = 1;
 };
 

@@ -25,17 +25,19 @@ UopFileSource::next(MicroOp &op)
         if (*p == '\0' || *p == '\n' || *p == '#')
             continue;
 
-        unsigned d1 = 0;
-        unsigned d2 = 0;
-        unsigned latency = 0;
-        if (std::sscanf(p, "%u %u %u", &d1, &d2, &latency) != 3) {
+        // Read 64-bit fields so that a value of 2^32 or more fails the
+        // range checks below instead of wrapping into range.
+        unsigned long long d1 = 0;
+        unsigned long long d2 = 0;
+        unsigned long long latency = 0;
+        if (std::sscanf(p, "%llu %llu %llu", &d1, &d2, &latency) != 3) {
             warn("%s:%llu: malformed uop record '%s' (skipped)",
                  path_.c_str(), static_cast<unsigned long long>(line_), p);
             ++skipped_;
             continue;
         }
         if (d1 > kMaxDepDistance || d2 > kMaxDepDistance) {
-            warn("%s:%llu: dependency distance %u exceeds %u (skipped)",
+            warn("%s:%llu: dependency distance %llu exceeds %u (skipped)",
                  path_.c_str(), static_cast<unsigned long long>(line_),
                  d1 > d2 ? d1 : d2, kMaxDepDistance);
             ++skipped_;
@@ -47,6 +49,13 @@ UopFileSource::next(MicroOp &op)
             ++skipped_;
             continue;
         }
+        if (latency > kMaxLatency) {
+            warn("%s:%llu: latency %llu exceeds %u (skipped)", path_.c_str(),
+                 static_cast<unsigned long long>(line_), latency,
+                 kMaxLatency);
+            ++skipped_;
+            continue;
+        }
         // Clamp distances that reach before the first instruction,
         // matching the synthetic generator.
         uint64_t max_dist = produced_;
@@ -54,7 +63,7 @@ UopFileSource::next(MicroOp &op)
             d1 > max_dist ? max_dist : d1);
         op.src2_dist = static_cast<uint32_t>(
             d2 > max_dist ? max_dist : d2);
-        op.latency = latency;
+        op.latency = static_cast<uint32_t>(latency);
         ++produced_;
         return true;
     }

@@ -10,12 +10,14 @@
  * where a dependency distance of 0 means "no source operand" and a
  * non-zero distance d names the d-th most recent prior instruction as
  * the producer.  Lines starting with '#' and blank lines are ignored;
- * records with a distance above ooo::kMaxDepDistance or a latency of
- * 0 are skipped with a warning (a 0-cycle latency would let a
- * dependent issue in its producer's cycle, which the core model's
- * wakeup rule forbids).  Distances that reach past the start of the
- * trace are clamped to the current position, matching the synthetic
- * generator's clamp.
+ * records with a distance above ooo::kMaxDepDistance, a latency of 0
+ * or a latency above ooo::kMaxLatency are skipped with a warning
+ * naming the file and line (a 0-cycle latency would let a dependent
+ * issue in its producer's cycle, which the core model's wakeup rule
+ * forbids; a window lane's cycle ring spans the longest latency in
+ * flight, so an unbounded one would exhaust memory).  Distances that
+ * reach past the start of the trace are clamped to the current
+ * position, matching the synthetic generator's clamp.
  */
 
 #ifndef CAPSIM_OOO_UOP_FILE_H

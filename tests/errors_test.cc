@@ -101,6 +101,18 @@ TEST(ErrorPathsTest, PatternConstructionValidated)
     EXPECT_DEATH(trace::Stream(region, 32, 0), "touch");
 }
 
+TEST(ErrorPathsTest, IlpPhaseLatencyValidated)
+{
+    // Latencies must lie in [1, kMaxLatency], the reader's bound.
+    trace::IlpBehavior behavior = trace::findApp("li").ilp;
+    behavior.phases[0].long_lat_cycles =
+        static_cast<int>(ooo::kMaxLatency) + 1;
+    EXPECT_DEATH(ooo::InstructionStream(behavior, 1), "phase latency");
+    behavior.phases[0].long_lat_cycles = static_cast<int>(ooo::kMaxLatency);
+    behavior.phases[0].short_lat_cycles = 0;
+    EXPECT_DEATH(ooo::InstructionStream(behavior, 1), "phase latency");
+}
+
 TEST(ErrorPathsTest, EmptyMixRejected)
 {
     trace::CacheBehavior empty;
@@ -183,7 +195,11 @@ TEST(ErrorPathsTest, UopReaderSkipsCorruptRecords)
                "3 1\n"        // truncated record
                "0 0 0\n"      // zero latency
                "999 0 1\n"    // distance beyond kMaxDepDistance
-               "2 1 3\n";     // valid
+               "0 0 4000000000\n" // latency beyond kMaxLatency
+               "4294967297 0 1\n" // distance 2^32 + 1 (must not wrap)
+               "0 0 4294967299\n" // latency 2^32 + 3 (must not wrap)
+               "2 1 3\n"      // valid
+               "1 0 65536\n"; // latency exactly kMaxLatency: kept
     }
     ooo::UopFileSource source(path);
     ooo::MicroOp op;
@@ -193,9 +209,11 @@ TEST(ErrorPathsTest, UopReaderSkipsCorruptRecords)
     ASSERT_TRUE(source.next(op));
     EXPECT_EQ(op.src1_dist, 1u);
     EXPECT_EQ(op.latency, 3u);
+    ASSERT_TRUE(source.next(op));
+    EXPECT_EQ(op.latency, ooo::kMaxLatency);
     EXPECT_FALSE(source.next(op));
-    EXPECT_EQ(source.produced(), 2u);
-    EXPECT_EQ(source.skipped(), 4u);
+    EXPECT_EQ(source.produced(), 3u);
+    EXPECT_EQ(source.skipped(), 7u);
 }
 
 TEST(ErrorPathsTest, SelectionNeedsInput)
