@@ -76,9 +76,11 @@ IntervalAdaptiveIq::run(const trace::AppProfile &app, uint64_t instructions,
     core_params.queue_entries = candidates[current];
     core_params.dispatch_width = IqMachine::kDispatchWidth;
     core_params.issue_width = IqMachine::kIssueWidth;
-    ooo::CoreModel core(phase_aware ? static_cast<ooo::OpSource &>(tap)
-                                    : stream,
-                        core_params);
+    // The live machine is a lane of its own (an empty ladder): the
+    // closed form resizes exactly between intervals.
+    ooo::WindowSweeper core(phase_aware ? static_cast<ooo::OpSource &>(tap)
+                                        : stream,
+                            core_params, {});
 
     obs::Hooks sinks = obs::effectiveHooks(hooks);
     obs::Counter *probe_counter = nullptr;
@@ -86,7 +88,6 @@ IntervalAdaptiveIq::run(const trace::AppProfile &app, uint64_t instructions,
     obs::Counter *commit_counter = nullptr;
     obs::FixedHistogram *ipc_hist = nullptr;
     if (sinks.registry) {
-        core.attachMetrics(*sinks.registry);
         probe_counter = &sinks.registry->counter("interval.probes");
         reconfig_counter =
             &sinks.registry->counter("interval.reconfigurations");
@@ -579,6 +580,8 @@ IntervalAdaptiveIq::run(const trace::AppProfile &app, uint64_t instructions,
     // instructions are part of the run and must be simulated and
     // credited.
     runInterval(instructions % params_.interval_instrs);
+    if (sinks.registry)
+        core.foldLaneMetrics(core.liveLane(), *sinks.registry);
 
     result.telemetry.jobs = 1;
     result.telemetry.wall_seconds = secondsSince(start);
@@ -600,7 +603,7 @@ intervalOracleCosts(const trace::AppProfile &app, uint64_t instructions,
     CAPSIM_SPAN("oracle.onepass");
 
     // Each interval advances every lane to its *own* chained issue
-    // target (issued-so-far + interval length): CoreModel::step()
+    // target (issued-so-far + interval length): a machine's step()
     // stops at the first cycle where the issued count crosses its
     // target and chains the next target off the overshot count, so
     // per-lane chained advancement reproduces every lane's interval
@@ -613,10 +616,8 @@ intervalOracleCosts(const trace::AppProfile &app, uint64_t instructions,
     params.dispatch_width = IqMachine::kDispatchWidth;
     params.issue_width = IqMachine::kIssueWidth;
     ooo::WindowSweeper sweeper(stream, params, candidates);
-    // The oracle never perturbs a live machine, so the fallback
-    // replay history is dead weight; and lanes spread up to one
-    // interval apart, so the shared ring must cover that span.
-    sweeper.disableHistory();
+    // Lanes spread up to one interval apart, so the shared ring must
+    // cover that span.
     sweeper.reserveSpan(interval_instrs);
 
     uint64_t full_intervals = instructions / interval_instrs;

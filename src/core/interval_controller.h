@@ -145,7 +145,9 @@ class IntervalAdaptiveIq
      * the run's instruction total exactly), a Decision record at every
      * probe, and Reconfig + ClockChange records for every physical
      * move.  The registry gains `interval.*` counters and an IPC
-     * histogram, plus the core's `core.*` metrics.
+     * histogram, plus the core's `core.*` metrics (folded from its
+     * window lane at the end of the run, with CoreModel's names and
+     * histogram shape).
      */
     IntervalRunResult run(const trace::AppProfile &app,
                           uint64_t instructions, int initial_entries,

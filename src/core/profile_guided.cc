@@ -1,10 +1,9 @@
 #include "profile_guided.h"
 
-#include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "ooo/stream.h"
+#include "ooo/window_sweep.h"
 #include "util/status.h"
 
 namespace cap::core {
@@ -19,41 +18,22 @@ buildScheduleFromProfile(const AdaptiveIqModel &model,
     capAssert(!candidates.empty(), "profiling needs candidates");
     capAssert(hysteresis >= 1, "hysteresis must be positive");
 
-    // Profiling lanes: one core per candidate, lock-stepped.
-    struct Lane
-    {
-        std::unique_ptr<ooo::InstructionStream> stream;
-        std::unique_ptr<ooo::CoreModel> core;
-        Nanoseconds cycle;
-        int entries;
-    };
-    std::vector<Lane> lanes;
-    for (int entries : candidates) {
-        Lane lane;
-        lane.stream =
-            std::make_unique<ooo::InstructionStream>(app.ilp, app.seed);
-        ooo::CoreParams params;
-        params.queue_entries = entries;
-        params.dispatch_width = IqMachine::kDispatchWidth;
-        params.issue_width = IqMachine::kIssueWidth;
-        lane.core = std::make_unique<ooo::CoreModel>(*lane.stream, params);
-        lane.cycle = model.cycleNs(entries);
-        lane.entries = entries;
-        lanes.push_back(std::move(lane));
-    }
-
-    // Per-interval winners.
+    // Per-interval winners, scored from the interval oracle's
+    // one-pass walk (one chained lane per candidate).
+    std::vector<std::vector<IqIntervalCost>> costs =
+        intervalOracleCosts(app, instructions, candidates, interval_instrs);
     std::vector<int> winners;
     uint64_t total_intervals = instructions / interval_instrs;
     for (uint64_t interval = 0; interval < total_intervals; ++interval) {
         double best_time = std::numeric_limits<double>::infinity();
         int winner = candidates.front();
-        for (Lane &lane : lanes) {
-            ooo::RunResult run = lane.core->step(interval_instrs);
-            double time_ns = static_cast<double>(run.cycles) * lane.cycle;
+        for (size_t li = 0; li < candidates.size(); ++li) {
+            double time_ns =
+                static_cast<double>(costs[li][interval].cycles) *
+                model.cycleNs(candidates[li]);
             if (time_ns < best_time) {
                 best_time = time_ns;
-                winner = lane.entries;
+                winner = candidates[li];
             }
         }
         winners.push_back(winner);
@@ -102,7 +82,7 @@ runWithSchedule(const AdaptiveIqModel &model, const trace::AppProfile &app,
     params.queue_entries = schedule.front().entries;
     params.dispatch_width = IqMachine::kDispatchWidth;
     params.issue_width = IqMachine::kIssueWidth;
-    ooo::CoreModel core(stream, params);
+    ooo::WindowSweeper core(stream, params, {});
 
     IntervalRunResult result;
     int current = schedule.front().entries;

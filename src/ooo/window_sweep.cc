@@ -155,20 +155,27 @@ WindowLane::finishCycle()
 }
 
 void
+WindowLane::placeDue(const MicroOp *ring, uint64_t ring_mask,
+                     uint64_t avail_end, bool exhausted)
+{
+    // The counts of cycle t are final once every op dispatched by t is
+    // placed: a later op issues and is reclaimed after t.
+    while (next_dispatch_ <= tick_ + 1) {
+        if (next_index_ == avail_end) {
+            capAssert(exhausted, "window lane op ring underrun");
+            break;
+        }
+        place(ring[next_index_ & ring_mask]);
+    }
+}
+
+void
 WindowLane::advanceTo(uint64_t issue_target, const MicroOp *ring,
                       uint64_t ring_mask, uint64_t avail_end,
                       bool exhausted)
 {
     while (issued_count_ < issue_target) {
-        // The counts of cycle t are final once every op dispatched by
-        // t is placed: a later op issues and is reclaimed after t.
-        while (next_dispatch_ <= tick_ + 1) {
-            if (next_index_ == avail_end) {
-                capAssert(exhausted, "window lane op ring underrun");
-                break;
-            }
-            place(ring[next_index_ & ring_mask]);
-        }
+        placeDue(ring, ring_mask, avail_end, exhausted);
         if (issued_count_ == next_index_ - base_)
             fatal("instruction source exhausted at %llu issued "
                   "instructions (advance target %llu)",
@@ -178,51 +185,51 @@ WindowLane::advanceTo(uint64_t issue_target, const MicroOp *ring,
     }
 }
 
+Cycles
+WindowLane::resize(int queue_entries, const MicroOp *ring,
+                   uint64_t ring_mask, uint64_t avail_end, bool exhausted)
+{
+    capAssert(queue_entries >= 1, "queue must keep at least one entry");
+    const uint64_t q = static_cast<uint64_t>(queue_entries);
+    if (q > reclaim_at_.size()) {
+        // Op i - Q' must be in the ring.  Ops older than the old ring
+        // were reclaimed by tick_ (the youngest placed op dispatched
+        // by then, after op Q older than it), so their slots may read
+        // 0: the next dispatch is after tick_ anyway.
+        std::vector<Cycles> grown(nextPow2(q), 0);
+        uint64_t first = next_index_ - std::min<uint64_t>(
+                                           next_index_ - base_,
+                                           reclaim_at_.size());
+        for (uint64_t i = first; i < next_index_; ++i)
+            grown[i & (grown.size() - 1)] = reclaim_at_[i & reclaim_mask_];
+        reclaim_at_ = std::move(grown);
+        reclaim_mask_ = reclaim_at_.size() - 1;
+    }
+    if (occ_counts_.size() < q + 1)
+        occ_counts_.resize(q + 1, 0);
+    queue_entries_ = queue_entries;
+
+    // Cycle tick_ is closed, so op i dispatches after it, and not
+    // before op i - Q' is reclaimed.  Placed ops keep their issue and
+    // reclaim cycles: neither depends on the queue size.
+    next_dispatch_ = tick_ + 1;
+    if (next_index_ - base_ >= q)
+        next_dispatch_ = std::max(
+            next_dispatch_, reclaim_at_[(next_index_ - q) & reclaim_mask_]);
+
+    // A shrink stalls dispatch until the occupancy fits (the drain's
+    // last cycle may dispatch into the space it frees).
+    const Cycles start = tick_;
+    while (occupancy_ > q) {
+        placeDue(ring, ring_mask, avail_end, exhausted);
+        finishCycle();
+    }
+    return tick_ - start;
+}
+
 // --------------------------------------------------------------------
 // WindowSweeper
 // --------------------------------------------------------------------
-
-/**
- * Feeds the fallback CoreModel: recorded history first, then the
- * sweeper's shared ring (kept hot by the lockstep chunking), so the
- * live machine and the counterfactual lanes keep consuming one
- * generation of the op stream.
- */
-class WindowSweeper::ReplaySource : public OpSource
-{
-  public:
-    ReplaySource(WindowSweeper &owner, uint64_t start)
-        : owner_(owner), pos_(start)
-    {
-    }
-
-    uint64_t nextBatch(MicroOp *out, uint64_t max) override
-    {
-        uint64_t n = 0;
-        while (n < max) {
-            uint64_t cutoff = owner_.base_ + owner_.history_cutoff_;
-            if (pos_ < cutoff) {
-                out[n++] = owner_.history_[pos_ - owner_.base_];
-                ++pos_;
-                continue;
-            }
-            if (pos_ >= owner_.produced_) {
-                owner_.ensureOps(pos_ + (max - n));
-                if (pos_ >= owner_.produced_)
-                    break;
-            }
-            out[n++] = owner_.ring_[pos_ & owner_.ring_mask_];
-            ++pos_;
-        }
-        return n;
-    }
-
-    uint64_t position() const override { return pos_; }
-
-  private:
-    WindowSweeper &owner_;
-    uint64_t pos_;
-};
 
 WindowSweeper::WindowSweeper(OpSource &source, const CoreParams &base,
                              const std::vector<int> &sizes)
@@ -234,42 +241,52 @@ WindowSweeper::WindowSweeper(OpSource &source, const CoreParams &base,
               "breaks the one-pass dataflow argument)");
     capAssert(!base.free_at_issue,
               "WindowSweeper models the RUU (free-in-order) machine");
-    capAssert(!sizes.empty(), "queue-size ladder is empty");
     base_ = source.position();
     produced_ = base_;
     for (int entries : sizes)
-        laneFor(entries, true);
-    live_lane_ = laneFor(base.queue_entries, true);
+        if (findLane(entries) == lanes_.size())
+            addLane(entries);
+    live_lane_ = findLane(base.queue_entries);
+    live_in_ladder_ = live_lane_ < lanes_.size();
+    if (!live_in_ladder_)
+        addLane(base.queue_entries);
 }
 
 WindowSweeper::~WindowSweeper() = default;
 
 size_t
-WindowSweeper::laneFor(int entries, bool create)
+WindowSweeper::findLane(int entries) const
 {
-    for (size_t i = 0; i < lanes_.size(); ++i)
-        if (lanes_[i]->queueEntries() == entries)
-            return i;
-    capAssert(create, "no lane for %d queue entries", entries);
-    capAssert(last_sync_ == 0 && !started_,
-              "cannot add a lane after advancing");
+    size_t lane = 0;
+    while (lane < lanes_.size() && lanes_[lane]->queueEntries() != entries)
+        ++lane;
+    return lane;
+}
+
+void
+WindowSweeper::addLane(int entries)
+{
     lanes_.push_back(std::make_unique<WindowLane>(
         entries, base_params_.dispatch_width, base_params_.issue_width,
         base_));
+    admitEntries(entries);
+}
+
+void
+WindowSweeper::admitEntries(int entries)
+{
     max_entries_ = std::max(max_entries_, entries);
     capAssert(std::max(kChunk, reserved_span_) +
                       static_cast<uint64_t>(max_entries_) +
                       static_cast<uint64_t>(base_params_.issue_width) + 1 <=
                   ring_.size(),
               "queue ladder too large for the shared op ring");
-    return lanes_.size() - 1;
 }
 
 void
 WindowSweeper::reserveSpan(uint64_t span)
 {
-    capAssert(last_sync_ == 0 && !started_ && produced_ == base_,
-              "reserveSpan must precede any advance");
+    capAssert(produced_ == base_, "reserveSpan must precede any advance");
     reserved_span_ = std::max(reserved_span_, span);
     uint64_t need = reserved_span_ + static_cast<uint64_t>(max_entries_) +
                     static_cast<uint64_t>(base_params_.issue_width) + 2;
@@ -277,16 +294,6 @@ WindowSweeper::reserveSpan(uint64_t span)
         return;
     ring_.assign(nextPow2(need), MicroOp{});
     ring_mask_ = ring_.size() - 1;
-}
-
-void
-WindowSweeper::disableHistory()
-{
-    capAssert(!fallback_, "history already feeds the fallback model");
-    record_history_ = false;
-    history_available_ = false;
-    history_.clear();
-    history_.shrink_to_fit();
 }
 
 int
@@ -327,7 +334,7 @@ WindowSweeper::ensureOps(uint64_t upto)
     // needs out of the ring at dispatch).  Only per-lane advancement
     // can spread lanes far enough to trip this; reserveSpan() sizes
     // the ring for the expected spread.
-    if (!fallback_ && upto > base_ + ring_.size()) {
+    if (upto > base_ + ring_.size()) {
         uint64_t floor = upto - ring_.size();
         for (const auto &lane : lanes_)
             capAssert(lane->nextIndex() >= floor,
@@ -339,9 +346,6 @@ WindowSweeper::ensureOps(uint64_t upto)
         uint64_t contiguous =
             std::min(upto - produced_, ring_.size() - slot);
         uint64_t got = source_.nextBatch(ring_.data() + slot, contiguous);
-        if (record_history_ && got > 0)
-            history_.insert(history_.end(), ring_.data() + slot,
-                            ring_.data() + slot + got);
         produced_ += got;
         if (got < contiguous)
             exhausted_ = true;
@@ -351,10 +355,7 @@ WindowSweeper::ensureOps(uint64_t upto)
 void
 WindowSweeper::advanceLaneTo(size_t lane, uint64_t target)
 {
-    capAssert(!fallback_,
-              "per-lane advance is a one-pass-only operation");
     WindowLane &l = *lanes_.at(lane);
-    started_ = true;
     while (l.issued() < target) {
         uint64_t next = std::min(target, l.issued() + kChunk);
         ensureOps(base_ + next + static_cast<uint64_t>(max_entries_) +
@@ -401,72 +402,26 @@ WindowSweeper::foldLaneMetrics(size_t lane, obs::CounterRegistry &registry,
 int
 WindowSweeper::queueEntries() const
 {
-    return fallback_ ? model_->queueEntries()
-                     : lanes_[live_lane_]->queueEntries();
+    return lanes_[live_lane_]->queueEntries();
 }
 
 uint64_t
 WindowSweeper::issuedInstructions() const
 {
-    return fallback_ ? model_->issuedInstructions()
-                     : lanes_[live_lane_]->issued();
+    return lanes_[live_lane_]->issued();
 }
 
 Cycles
 WindowSweeper::cycleCount() const
 {
-    return fallback_ ? model_->cycleCount() : lanes_[live_lane_]->cycles();
-}
-
-void
-WindowSweeper::engageFallback()
-{
-    capAssert(!fallback_, "fallback already engaged");
-    capAssert(history_available_,
-              "fallback needs the op history (disableHistory() makes "
-              "the sweeper counterfactual-only)");
-    history_cutoff_ = history_.size();
-    record_history_ = false;
-    replay_source_ = std::make_unique<ReplaySource>(*this, base_);
-    CoreParams params = base_params_;
-    params.queue_entries = lanes_[live_lane_]->queueEntries();
-    model_ = std::make_unique<CoreModel>(*replay_source_, params);
-    if (base_ > 0)
-        model_->seekTo(base_);
-    if (live_issued_target_ > 0) {
-        // The tick sequence is deterministic and step partitioning
-        // only splits it, so one replay step to the cumulative target
-        // reproduces the live machine exactly; the lane provides the
-        // self-check.
-        model_->step(live_issued_target_);
-        capAssert(model_->cycleCount() == lanes_[live_lane_]->cycles() &&
-                      model_->issuedInstructions() ==
-                          lanes_[live_lane_]->issued(),
-                  "fallback replay diverged from the one-pass lane");
-    }
-    fallback_replayed_ = model_->issuedInstructions();
-    fallback_ = true;
+    return lanes_[live_lane_]->cycles();
 }
 
 RunResult
 WindowSweeper::step(uint64_t instructions)
 {
-    started_ = true;
     Cycles before = cycleCount();
-    uint64_t target = issuedInstructions() + instructions;
-    if (fallback_) {
-        // Lockstep chunks keep the fallback model and the lanes in
-        // the same op-ring window.
-        while (model_->issuedInstructions() < target) {
-            uint64_t next = std::min<uint64_t>(
-                target, model_->issuedInstructions() + kChunk);
-            model_->step(next - model_->issuedInstructions());
-            advanceAllTo(model_->issuedInstructions());
-        }
-    } else {
-        advanceAllTo(target);
-    }
-    live_issued_target_ = target;
+    advanceAllTo(issuedInstructions() + instructions);
     RunResult result;
     result.instructions = instructions;
     result.cycles = cycleCount() - before;
@@ -476,27 +431,20 @@ WindowSweeper::step(uint64_t instructions)
 Cycles
 WindowSweeper::resize(int new_entries)
 {
-    capAssert(new_entries >= 1, "queue must keep at least one entry");
-    if (!started_ && !fallback_) {
-        // Nothing has run: reconfiguration just selects another lane.
-        live_lane_ = laneFor(new_entries, true);
-        base_params_.queue_entries = new_entries;
-        return 0;
+    if (live_in_ladder_) {
+        // The ladder lane keeps its size; the live machine continues
+        // on a copy.
+        lanes_.push_back(std::make_unique<WindowLane>(*lanes_[live_lane_]));
+        live_lane_ = lanes_.size() - 1;
+        live_in_ladder_ = false;
     }
-    if (!fallback_)
-        engageFallback();
-    Cycles drained = model_->resize(new_entries);
-    advanceAllTo(model_->issuedInstructions());
-    live_issued_target_ = model_->issuedInstructions();
-    return drained;
-}
-
-void
-WindowSweeper::stall(Cycles cycles)
-{
-    if (!fallback_)
-        engageFallback();
-    model_->stall(cycles);
+    admitEntries(new_entries);
+    WindowLane &live = *lanes_[live_lane_];
+    // A drain dispatches only in its last cycle.
+    ensureOps(live.nextIndex() +
+              static_cast<uint64_t>(base_params_.dispatch_width));
+    return live.resize(new_entries, ring_.data(), ring_mask_, produced_,
+                       exhausted_);
 }
 
 } // namespace cap::ooo

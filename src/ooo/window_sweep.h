@@ -26,11 +26,13 @@
  * (tests/windowsweep_test.cc) pins every lane against an independent
  * CoreModel run, on the study machine and on a grid of other shapes.
  *
- * Exactness breaks when the *live* machine is perturbed mid-run
- * (queue resize drains, clock-switch stalls): like BoundarySweeper,
- * the sweeper then replays its recorded op history through a real
- * CoreModel and continues on it, while the counterfactual lanes stay
- * exact for their fixed sizes.
+ * A lane also resizes exactly between cycles (docs/PERF.md section
+ * 10): placed ops keep their issue and reclaim cycles, which do not
+ * depend on Q; after closed cycle t the next op i dispatches at
+ * max(t + 1, R_{i-Q'}); a shrink closes cycles until the occupancy
+ * fits, as CoreModel::resize() drains.  So the sweeper's live machine
+ * -- the interval controllers' core -- is a lane too, and the
+ * counterfactual lanes keep their fixed sizes beside it.
  */
 
 #ifndef CAPSIM_OOO_WINDOW_SWEEP_H
@@ -50,11 +52,12 @@ namespace cap::ooo {
 
 /**
  * Closed-form simulation of one queue size.  Timing-equivalent to a
- * CoreModel with the same parameters (RUU mode, no value prediction);
- * owned and fed by WindowSweeper.  Before it closes cycle t a lane
- * places every op dispatched by t -- exactly the ops CoreModel has
- * dispatched when it ends cycle t -- so nextIndex() and the shared
- * ring's overwrite guard mean what they mean for a ticking machine.
+ * CoreModel with the same parameters (RUU mode, no value prediction),
+ * resizes included; owned and fed by WindowSweeper.  Before it closes
+ * cycle t a lane places every op dispatched by t -- exactly the ops
+ * CoreModel has dispatched when it ends cycle t -- so nextIndex() and
+ * the shared ring's overwrite guard mean what they mean for a ticking
+ * machine.  Copyable: a copy continues the same machine.
  */
 class WindowLane
 {
@@ -92,6 +95,15 @@ class WindowLane
     void advanceTo(uint64_t issue_target, const MicroOp *ring,
                    uint64_t ring_mask, uint64_t avail_end, bool exhausted);
 
+    /**
+     * Resize the queue between cycles, as CoreModel::resize() does:
+     * growing is immediate; shrinking closes cycles (reading ops as
+     * advanceTo() does) until the occupancy fits.
+     * @return Cycles spent draining (zero when growing).
+     */
+    Cycles resize(int queue_entries, const MicroOp *ring, uint64_t ring_mask,
+                  uint64_t avail_end, bool exhausted);
+
     int queueEntries() const { return queue_entries_; }
     uint64_t issued() const { return issued_count_; }
     Cycles cycles() const { return tick_; }
@@ -101,7 +113,7 @@ class WindowLane
     uint64_t nextIndex() const { return next_index_; }
 
     /** Cycle-count histogram of post-dispatch occupancy, indexed by
-     *  occupancy value (0..queue_entries). */
+     *  occupancy value (0..the largest queue size so far). */
     const std::vector<uint64_t> &occupancyCounts() const
     {
         return occ_counts_;
@@ -118,6 +130,9 @@ class WindowLane
     /** Place op next_index_, dispatched in cycle tick_ + 1: record its
      *  issue, completion and reclaim cycles. */
     void place(const MicroOp &op);
+    /** Place every op dispatched in cycle tick_ + 1. */
+    void placeDue(const MicroOp *ring, uint64_t ring_mask,
+                  uint64_t avail_end, bool exhausted);
     /** Close cycle tick_ + 1: fold its counts into the totals. */
     void finishCycle();
     /** Counts of a cycle after tick_, growing the ring to reach it. */
@@ -143,7 +158,8 @@ class WindowLane
     Cycles tick_ = 0;
     uint64_t stall_cycles_ = 0;
 
-    /** Reclaim cycle of each of the last queue_entries_ ops. */
+    /** Reclaim cycle of each of the last reclaim_at_.size() ops, a
+     *  power of two no smaller than any queue size so far. */
     uint64_t reclaim_mask_;
     std::vector<Cycles> reclaim_at_;
     /** Completion cycle (issue + latency) by instruction number. */
@@ -162,14 +178,16 @@ class WindowLane
 
 /**
  * Shared-stream counterfactual sweep over a ladder of queue sizes,
- * with a CoreModel-compatible live facade.
+ * with a CoreModel-compatible live machine.
  *
- * Batch use (runIqStudy, IqSampler): construct over a positioned op
- * source, add per-lane marks, advanceAllTo() a common target, read
- * each lane's cycle counts / metrics.  Live use: step() / resize() /
- * stall() mirror CoreModel; the first mid-run perturbation replays
- * the recorded op history through a real CoreModel (self-check:
- * replayed cycle count must equal the lane's) and continues on it.
+ * Batch use (runIqStudy, IqSampler, the interval oracle): construct
+ * over a positioned op source, add per-lane marks, advance, read each
+ * lane's cycle counts / metrics.  Live use (the interval controllers):
+ * step() / resize() mirror CoreModel on the live lane -- the ladder's
+ * lane of the base size, or a lane of its own when the ladder lacks
+ * that size (an empty ladder runs the live lane alone).  A resize
+ * first detaches the live lane from the ladder (a copy), so every
+ * ladder lane keeps its size.
  */
 class WindowSweeper
 {
@@ -181,7 +199,7 @@ class WindowSweeper
      * @param base   Machine parameters; free_at_issue and
      *               dep_break_prob must be off (the sweep's dataflow
      *               argument needs the RUU machine).  queue_entries
-     *               selects the live lane.
+     *               sizes the live lane.
      * @param sizes  Queue-size ladder (one lane each); base's size is
      *               appended when missing.
      */
@@ -189,12 +207,16 @@ class WindowSweeper
                   const std::vector<int> &sizes);
     ~WindowSweeper();
 
+    /** Lanes: the ladder's, then a detached or appended live lane. */
     size_t laneCount() const { return lanes_.size(); }
     int laneEntries(size_t lane) const;
     uint64_t laneIssued(size_t lane) const;
     Cycles laneCycles(size_t lane) const;
     void addLaneMark(size_t lane, uint64_t issue_target);
     const std::vector<Cycles> &laneMarkTicks(size_t lane) const;
+
+    /** Index of the live machine's lane. */
+    size_t liveLane() const { return live_lane_; }
 
     /** Advance every lane until its issued count reaches @p target
      *  (absolute, counted from the base index). */
@@ -220,14 +242,9 @@ class WindowSweeper
      */
     void reserveSpan(uint64_t span);
 
-    /**
-     * Stop recording op history.  The history exists only to feed the
-     * live facade's CoreModel fallback (resize()/stall() mid-run);
-     * counterfactual-only walks (the interval oracle) never engage it
-     * and would otherwise pay O(instructions) memory.  Irreversible:
-     * resize()/stall() after the first step become illegal.
-     */
-    void disableHistory();
+    /** No-op: no sweeper records its op history.  Kept only so that
+     *  existing callers compile. */
+    void disableHistory() {}
 
     /**
      * Fold one lane's counters into @p registry under @p prefix with
@@ -238,7 +255,7 @@ class WindowSweeper
     void foldLaneMetrics(size_t lane, obs::CounterRegistry &registry,
                          const std::string &prefix = "core.") const;
 
-    // --- CoreModel-compatible live facade -------------------------
+    // --- CoreModel-compatible live machine ------------------------
 
     /** Queue size of the live machine. */
     int queueEntries() const;
@@ -246,41 +263,32 @@ class WindowSweeper
     Cycles cycleCount() const;
 
     /** Run until @p instructions more instructions issue on the live
-     *  machine (counterfactual lanes keep pace). */
+     *  machine (the other lanes keep pace). */
     RunResult step(uint64_t instructions);
 
     /**
-     * Resize the live queue.  Before the first step this just selects
-     * another lane; mid-run it engages the CoreModel fallback (the
-     * drain interleaves with dispatch in a way the per-size lanes do
-     * not model).
+     * Resize the live queue, as CoreModel::resize() does.
      * @return Cycles spent draining (zero when growing).
      */
     Cycles resize(int new_entries);
 
-    /** Add idle cycles to the live machine; engages the fallback
-     *  (lane timing has no idle-offset notion). */
-    void stall(Cycles cycles);
-
-    /** True while every result is lane-derived (no fallback). */
-    bool onePassActive() const { return !fallback_; }
-
-    /** Instructions replayed through the fallback CoreModel. */
-    uint64_t fallbackReplayedInstrs() const { return fallback_replayed_; }
-
   private:
-    class ReplaySource;
-
     /** Generate ops into the shared ring up to absolute index
      *  @p upto (or the end of a finite source). */
     void ensureOps(uint64_t upto);
-    void engageFallback();
-    size_t laneFor(int entries, bool create);
+    /** Index of the first lane of @p entries (laneCount() if none). */
+    size_t findLane(int entries) const;
+    void addLane(int entries);
+    /** Admit a queue size: the shared ring must hold a chunk plus
+     *  the largest queue and the issue width. */
+    void admitEntries(int entries);
 
     OpSource &source_;
     CoreParams base_params_;
     std::vector<std::unique_ptr<WindowLane>> lanes_;
     size_t live_lane_ = 0;
+    /** True while the live lane is one of the ladder's. */
+    bool live_in_ladder_ = false;
     int max_entries_ = 0;
 
     uint64_t base_ = 0;
@@ -290,19 +298,6 @@ class WindowSweeper
     uint64_t produced_ = 0;
     bool exhausted_ = false;
     uint64_t last_sync_ = 0;
-
-    /** Ops generated since base, for the fallback replay. */
-    std::vector<MicroOp> history_;
-    bool record_history_ = true;
-    bool history_available_ = true;
-    uint64_t history_cutoff_ = 0;
-
-    bool started_ = false;
-    uint64_t live_issued_target_ = 0;
-    bool fallback_ = false;
-    uint64_t fallback_replayed_ = 0;
-    std::unique_ptr<ReplaySource> replay_source_;
-    std::unique_ptr<CoreModel> model_;
 };
 
 } // namespace cap::ooo

@@ -193,6 +193,91 @@ class RandomOpSource : public ooo::OpSource
 /** Which way a shape-grid case feeds its op source. */
 enum class Feed { FromStart, Seeked, Finite };
 
+/** A shape-grid case's op stream: 2600 ops for a finite feed, and
+ *  positioned 300 ops in for a seeked one. */
+struct GridStream
+{
+    GridStream(int dispatch, int issue, double density, Feed feed,
+               uint64_t salt)
+        : density(density), length(feed == Feed::Finite ? 2600 : 0),
+          base(feed == Feed::Seeked ? 300 : 0),
+          instrs(length ? length : 4000),
+          seed(static_cast<uint64_t>(dispatch * 1000 + issue * 100 +
+                                     static_cast<int>(density * 10) * 10 +
+                                     static_cast<int>(feed)) +
+               salt)
+    {
+    }
+
+    /** A fresh source at the base index. */
+    std::unique_ptr<RandomOpSource> source() const
+    {
+        auto source = std::make_unique<RandomOpSource>(seed, density, length);
+        ooo::MicroOp sink[64];
+        for (uint64_t left = base; left > 0;)
+            left -= source->nextBatch(
+                sink, std::min<uint64_t>(left, std::size(sink)));
+        return source;
+    }
+
+    /** A CoreModel over a fresh source, seeked to the base, with its
+     *  metrics in @p registry. */
+    std::unique_ptr<ooo::CoreModel> model(
+        std::vector<std::unique_ptr<RandomOpSource>> &sources,
+        const ooo::CoreParams &params, obs::CounterRegistry &registry) const
+    {
+        sources.push_back(source());
+        auto model = std::make_unique<ooo::CoreModel>(*sources.back(), params);
+        if (base > 0)
+            model->seekTo(base);
+        model->attachMetrics(registry);
+        return model;
+    }
+
+    double density;
+    uint64_t length;
+    uint64_t base;
+    uint64_t instrs;
+    uint64_t seed;
+};
+
+/** The first counter or occupancy bin in which @p lane's folded
+ *  metrics differ from @p model_reg's; empty when all match. */
+std::string
+foldMismatch(const ooo::WindowSweeper &sweeper, size_t lane,
+             const obs::CounterRegistry &model_reg)
+{
+    obs::CounterRegistry lane_reg;
+    sweeper.foldLaneMetrics(lane, lane_reg);
+    for (const char *counter :
+         {"core.cycles", "core.issued_instructions",
+          "core.dispatched_instructions", "core.dispatch_stall_cycles"}) {
+        if (lane_reg.counterValue(counter) != model_reg.counterValue(counter))
+            return std::string(counter) + ": lane " +
+                   std::to_string(lane_reg.counterValue(counter)) +
+                   ", model " +
+                   std::to_string(model_reg.counterValue(counter));
+    }
+    const obs::FixedHistogram *model_occ =
+        model_reg.findHistogram("core.occupancy");
+    const obs::FixedHistogram *lane_occ =
+        lane_reg.findHistogram("core.occupancy");
+    if (!model_occ || !lane_occ)
+        return "no occupancy histogram";
+    for (size_t b = 0; b < model_occ->binCount(); ++b)
+        if (lane_occ->binValue(b) != model_occ->binValue(b))
+            return "occupancy bin " + std::to_string(b);
+    return "";
+}
+
+std::string
+gridWhere(int dispatch, int issue, double density, Feed feed)
+{
+    return "D=" + std::to_string(dispatch) + " W=" + std::to_string(issue) +
+           " density=" + std::to_string(density) +
+           " feed=" + std::to_string(static_cast<int>(feed));
+}
+
 /**
  * One shape-grid case: a sweeper over @p sizes and one CoreModel per
  * size read the same random stream and stop together every 997
@@ -204,32 +289,19 @@ expectLanesMatchCoreModel(int dispatch, int issue, double density,
                           Feed feed, const std::vector<int> &sizes)
 {
     const uint64_t mark_every = 997;
-    const uint64_t length = feed == Feed::Finite ? 2600 : 0;
-    const uint64_t base = feed == Feed::Seeked ? 300 : 0;
-    const uint64_t instrs = length ? length : 4000;
-    const uint64_t seed = static_cast<uint64_t>(
-        dispatch * 1000 + issue * 100 + static_cast<int>(density * 10) * 10 +
-        static_cast<int>(feed));
-    auto positioned = [&]() {
-        auto source = std::make_unique<RandomOpSource>(seed, density, length);
-        ooo::MicroOp sink[64];
-        for (uint64_t left = base; left > 0;)
-            left -= source->nextBatch(
-                sink, std::min<uint64_t>(left, std::size(sink)));
-        return source;
-    };
+    const GridStream grid(dispatch, issue, density, feed, 0);
     ooo::CoreParams params;
     params.dispatch_width = dispatch;
     params.issue_width = issue;
     params.queue_entries = sizes.front();
 
-    auto sweep_source = positioned();
+    auto sweep_source = grid.source();
     ooo::WindowSweeper sweeper(*sweep_source, params, sizes);
     ASSERT_EQ(sweeper.laneCount(), sizes.size());
     std::vector<uint64_t> stops;
-    for (uint64_t t = mark_every; t < instrs; t += mark_every)
+    for (uint64_t t = mark_every; t < grid.instrs; t += mark_every)
         stops.push_back(t);
-    stops.push_back(instrs);
+    stops.push_back(grid.instrs);
     for (size_t l = 0; l < sizes.size(); ++l)
         for (uint64_t t : stops)
             sweeper.addLaneMark(l, t);
@@ -238,24 +310,16 @@ expectLanesMatchCoreModel(int dispatch, int issue, double density,
     std::vector<std::unique_ptr<ooo::CoreModel>> models;
     std::vector<obs::CounterRegistry> model_regs(sizes.size());
     for (size_t l = 0; l < sizes.size(); ++l) {
-        model_sources.push_back(positioned());
         params.queue_entries = sizes[l];
-        models.push_back(std::make_unique<ooo::CoreModel>(
-            *model_sources.back(), params));
-        if (base > 0)
-            models.back()->seekTo(base);
-        models.back()->attachMetrics(model_regs[l]);
+        models.push_back(grid.model(model_sources, params, model_regs[l]));
     }
 
     for (size_t s = 0; s < stops.size(); ++s) {
         sweeper.advanceAllTo(stops[s]);
         for (size_t l = 0; l < sizes.size(); ++l) {
-            std::string where =
-                "D=" + std::to_string(dispatch) + " W=" +
-                std::to_string(issue) + " Q=" + std::to_string(sizes[l]) +
-                " density=" + std::to_string(density) + " feed=" +
-                std::to_string(static_cast<int>(feed)) +
-                " stop=" + std::to_string(stops[s]);
+            std::string where = gridWhere(dispatch, issue, density, feed) +
+                                " Q=" + std::to_string(sizes[l]) +
+                                " stop=" + std::to_string(stops[s]);
             ooo::CoreModel &model = *models[l];
             if (model.issuedInstructions() < stops[s])
                 model.step(stops[s] - model.issuedInstructions());
@@ -265,27 +329,86 @@ expectLanesMatchCoreModel(int dispatch, int issue, double density,
             ASSERT_EQ(sweeper.laneCycles(l), model.cycleCount()) << where;
             ASSERT_EQ(sweeper.laneIssued(l), model.issuedInstructions())
                 << where;
-
-            obs::CounterRegistry lane_reg;
-            sweeper.foldLaneMetrics(l, lane_reg);
-            for (const char *counter :
-                 {"core.cycles", "core.issued_instructions",
-                  "core.dispatched_instructions",
-                  "core.dispatch_stall_cycles"}) {
-                ASSERT_EQ(lane_reg.counterValue(counter),
-                          model_regs[l].counterValue(counter))
-                    << where << " " << counter;
-            }
-            const obs::FixedHistogram *model_occ =
-                model_regs[l].findHistogram("core.occupancy");
-            const obs::FixedHistogram *lane_occ =
-                lane_reg.findHistogram("core.occupancy");
-            ASSERT_NE(model_occ, nullptr) << where;
-            ASSERT_NE(lane_occ, nullptr) << where;
-            for (size_t b = 0; b < model_occ->binCount(); ++b)
-                ASSERT_EQ(lane_occ->binValue(b), model_occ->binValue(b))
-                    << where << " bin=" << b;
+            ASSERT_EQ(foldMismatch(sweeper, l, model_regs[l]), "") << where;
         }
+    }
+}
+
+/**
+ * One shape-grid case with live resizes: a seeded schedule of steps
+ * and resizes drives the sweeper's live machine and a CoreModel alike.
+ * It opens with 3 -> 200 -> 2 -> 1 -> 300 (across the reclaim ring's
+ * size both ways, down to one entry) and then resizes at random.  Each
+ * step's cycles, each drain, the counters and the occupancy bins must
+ * match, and every ladder lane must still equal a fixed-size
+ * CoreModel at each step's target.
+ */
+void
+expectLiveResizesMatchCoreModel(int dispatch, int issue, double density,
+                                Feed feed, const std::vector<int> &sizes)
+{
+    const GridStream grid(dispatch, issue, density, feed, 7);
+    ooo::CoreParams params;
+    params.dispatch_width = dispatch;
+    params.issue_width = issue;
+    params.queue_entries = sizes.front();
+
+    auto sweep_source = grid.source();
+    ooo::WindowSweeper sweeper(*sweep_source, params, sizes);
+    std::vector<std::unique_ptr<RandomOpSource>> model_sources;
+    obs::CounterRegistry live_reg;
+    std::unique_ptr<ooo::CoreModel> live =
+        grid.model(model_sources, params, live_reg);
+    std::vector<std::unique_ptr<ooo::CoreModel>> fixed;
+    std::vector<obs::CounterRegistry> fixed_regs(sizes.size());
+    for (size_t l = 0; l < sizes.size(); ++l) {
+        params.queue_entries = sizes[l];
+        fixed.push_back(grid.model(model_sources, params, fixed_regs[l]));
+    }
+
+    const std::vector<int> opening = {3, 200, 2, 1, 300};
+    const std::vector<int> resize_to = {1, 2, 3, 5, 8, 31, 64, 100, 200, 300};
+    Rng schedule(grid.seed);
+    for (size_t action = 0; live->issuedInstructions() < grid.instrs;
+         ++action) {
+        std::string where = gridWhere(dispatch, issue, density, feed) +
+                            " action=" + std::to_string(action) +
+                            " Q=" + std::to_string(live->queueEntries());
+        size_t resizes = action / 2;
+        if (action % 2 == 1 &&
+            (resizes < opening.size() || schedule.chance(0.7))) {
+            int to = resizes < opening.size()
+                         ? opening[resizes]
+                         : resize_to[schedule.below(resize_to.size())];
+            where += " resize=" + std::to_string(to);
+            Cycles drained = sweeper.resize(to);
+            ASSERT_EQ(drained, live->resize(to)) << where;
+            ASSERT_EQ(sweeper.queueEntries(), to) << where;
+        } else {
+            uint64_t n = std::min<uint64_t>(
+                1 + schedule.below(300),
+                grid.instrs - live->issuedInstructions());
+            where += " step=" + std::to_string(n);
+            uint64_t target = sweeper.issuedInstructions() + n;
+            ASSERT_EQ(sweeper.step(n).cycles, live->step(n).cycles) << where;
+            for (size_t l = 0; l < sizes.size(); ++l) {
+                ooo::CoreModel &model = *fixed[l];
+                if (model.issuedInstructions() < target)
+                    model.step(target - model.issuedInstructions());
+                ASSERT_EQ(sweeper.laneEntries(l), sizes[l]) << where;
+                ASSERT_EQ(sweeper.laneCycles(l), model.cycleCount())
+                    << where << " ladder Q=" << sizes[l];
+                ASSERT_EQ(sweeper.laneIssued(l), model.issuedInstructions())
+                    << where << " ladder Q=" << sizes[l];
+                ASSERT_EQ(foldMismatch(sweeper, l, fixed_regs[l]), "")
+                    << where << " ladder Q=" << sizes[l];
+            }
+        }
+        ASSERT_EQ(sweeper.cycleCount(), live->cycleCount()) << where;
+        ASSERT_EQ(sweeper.issuedInstructions(), live->issuedInstructions())
+            << where;
+        ASSERT_EQ(foldMismatch(sweeper, sweeper.liveLane(), live_reg), "")
+            << where;
     }
 }
 
@@ -295,14 +418,20 @@ TEST(WindowSweepTest, LanesMatchCoreModelOnShapeGrid)
     // widths, issue widths and queue sizes the study machine never
     // takes, on empty, sparse and dense dataflow with latencies far
     // past any fixed cycle horizon; from the first op, from a seeked
-    // base, and over a finite source that ends and drains.
+    // base, and over a finite source that ends and drains.  Then the
+    // live machine through a schedule of steps and resizes, while the
+    // ladder's lanes keep their sizes.
     const std::vector<int> sizes = {1, 2, 3, 5, 7, 8, 16, 33, 100, 128, 200};
     for (int dispatch : {1, 2, 3, 8})
         for (int issue : {1, 2, 5, 8})
             for (double density : {0.0, 0.3, 0.9})
-                for (Feed feed : {Feed::FromStart, Feed::Seeked, Feed::Finite})
+                for (Feed feed :
+                     {Feed::FromStart, Feed::Seeked, Feed::Finite}) {
                     expectLanesMatchCoreModel(dispatch, issue, density, feed,
                                               sizes);
+                    expectLiveResizesMatchCoreModel(dispatch, issue, density,
+                                                    feed, sizes);
+                }
 }
 
 /** An op pattern repeated without end. */
@@ -406,10 +535,10 @@ TEST(WindowSweepTest, SeekedBaseMatchesSeekedCoreModel)
 }
 
 // ---------------------------------------------------------------------
-// Live facade: CoreModel fallback on mid-run reconfiguration
+// Live machine: native resizes
 // ---------------------------------------------------------------------
 
-TEST(WindowSweepTest, FallbackStaysExactUnderMidRunReconfig)
+TEST(WindowSweepTest, LiveMachineStaysExactUnderMidRunResize)
 {
     const trace::AppProfile &app = trace::findApp("swim");
     std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
@@ -421,34 +550,37 @@ TEST(WindowSweepTest, FallbackStaysExactUnderMidRunReconfig)
     ooo::WindowSweeper sweeper(sweep_stream, studyParams(32), sizes);
     EXPECT_EQ(sweeper.queueEntries(), 32);
 
-    model.step(5000);
-    sweeper.step(5000);
-    EXPECT_TRUE(sweeper.onePassActive());
-    EXPECT_EQ(sweeper.fallbackReplayedInstrs(), 0u);
+    EXPECT_EQ(sweeper.step(5000).cycles, model.step(5000).cycles);
     EXPECT_EQ(sweeper.cycleCount(), model.cycleCount());
     EXPECT_EQ(sweeper.issuedInstructions(), model.issuedInstructions());
 
-    // A mid-run shrink drains the queue -- the one-pass lanes cannot
-    // model the drain, so the sweeper must replay through a real
-    // CoreModel (self-checked against the lane) and track it exactly.
+    // A mid-run shrink drains the queue on the live lane, which leaves
+    // the ladder so that the ladder's 32-entry lane keeps its size.
     Cycles model_drain = model.resize(16);
     Cycles sweep_drain = sweeper.resize(16);
-    EXPECT_FALSE(sweeper.onePassActive());
-    EXPECT_GT(sweeper.fallbackReplayedInstrs(), 0u);
+    EXPECT_GT(model_drain, 0u);
     EXPECT_EQ(sweep_drain, model_drain);
     EXPECT_EQ(sweeper.queueEntries(), model.queueEntries());
+    EXPECT_EQ(sweeper.laneCount(), sizes.size() + 1);
+    EXPECT_EQ(sweeper.liveLane(), sizes.size());
 
-    model.step(4000);
-    sweeper.step(4000);
-    model.stall(123);
-    sweeper.stall(123);
-    model.step(2000);
-    sweeper.step(2000);
+    EXPECT_EQ(sweeper.step(4000).cycles, model.step(4000).cycles);
+    EXPECT_EQ(sweeper.resize(128), model.resize(128));
+    EXPECT_EQ(sweeper.step(2000).cycles, model.step(2000).cycles);
     EXPECT_EQ(sweeper.cycleCount(), model.cycleCount());
     EXPECT_EQ(sweeper.issuedInstructions(), model.issuedInstructions());
+
+    for (size_t l = 0; l < sizes.size(); ++l) {
+        ooo::InstructionStream fixed_stream(app.ilp, app.seed);
+        ooo::CoreModel fixed(fixed_stream, studyParams(sizes[l]));
+        fixed.step(sweeper.laneIssued(l));
+        EXPECT_EQ(sweeper.laneEntries(l), sizes[l]);
+        EXPECT_EQ(sweeper.laneCycles(l), fixed.cycleCount())
+            << "Q=" << sizes[l];
+    }
 }
 
-TEST(WindowSweepTest, ResizeBeforeFirstStepStaysOnePass)
+TEST(WindowSweepTest, ResizeBeforeFirstStepRunsTheNewSize)
 {
     const trace::AppProfile &app = trace::findApp("li");
     std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
@@ -458,13 +590,13 @@ TEST(WindowSweepTest, ResizeBeforeFirstStepStaysOnePass)
     EXPECT_EQ(sweeper.resize(64), 0u);
     EXPECT_EQ(sweeper.queueEntries(), 64);
     sweeper.step(5000);
-    EXPECT_TRUE(sweeper.onePassActive());
 
     ooo::InstructionStream ref_stream(app.ilp, app.seed);
     ooo::CoreModel model(ref_stream, studyParams(64));
     model.step(5000);
     EXPECT_EQ(sweeper.cycleCount(), model.cycleCount());
     EXPECT_EQ(sweeper.issuedInstructions(), model.issuedInstructions());
+    EXPECT_EQ(sweeper.laneCycles(sweeper.liveLane()), model.cycleCount());
 }
 
 // ---------------------------------------------------------------------
