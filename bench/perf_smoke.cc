@@ -15,7 +15,13 @@
  *
  * The ratios, not the absolute wall times, are the regression metric:
  * they cancel host speed, so CI can hold them against a committed
- * baseline (bench/perf_baseline.json) across runner generations.
+ * baseline (bench/perf_baseline.json) across runner generations.  Each
+ * side of each ratio is timed as the fastest of kTimedRuns runs, the
+ * sides taking turns in one order and then the reverse, and every
+ * run's results are checked: at CI sizes one side takes 10-140 ms, so
+ * a single run of each reads whatever else the host was doing at the
+ * time.  The flat and dram cache sweeps share their rounds, so the
+ * dram-over-flat gate compares runs made side by side.
  *
  * The run also measures the host-side span profiler (obs/span_profiler):
  * the per-span cost of the CAPSIM_SPAN macro disarmed and armed, and
@@ -34,10 +40,12 @@
  *                    "oracle_iq_speedup" / "oracle_cache_speedup" value
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -113,6 +121,58 @@ gateAgainstBaseline(const std::string &path, const std::string &key_name,
     return 0;
 }
 
+/** Runs of each side of a gated ratio; the ratio takes each side's
+ *  fastest. */
+constexpr int kTimedRuns = 7;
+
+/** The sides of one or more gated ratios. */
+struct SideTimes
+{
+    /** Each side's fastest run, in the order the sides were given. */
+    std::vector<double> fastest;
+    /** Every run of every side, for the span-overhead estimate. */
+    double total_s = 0.0;
+};
+
+/**
+ * Run each of @p sides kTimedRuns times, in the given order on even
+ * rounds and in reverse on odd ones, and keep each side's fastest wall
+ * seconds (a side runs once and returns them).  @p same checks each
+ * round's results; returns false at the first mismatch.
+ */
+template <class Same>
+bool
+timeSides(const std::vector<std::function<double()>> &sides, Same &&same,
+          SideTimes &times)
+{
+    times = SideTimes{};
+    times.fastest.assign(sides.size(), 0.0);
+    for (int run = 0; run < kTimedRuns; ++run) {
+        for (size_t i = 0; i < sides.size(); ++i) {
+            const size_t side = run % 2 == 0 ? i : sides.size() - 1 - i;
+            const double seconds = sides[side]();
+            times.fastest[side] =
+                run == 0 ? seconds : std::min(times.fastest[side], seconds);
+            times.total_s += seconds;
+        }
+        if (!same())
+            return false;
+    }
+    return true;
+}
+
+/** Wall seconds @p fn takes. */
+template <class Fn>
+double
+seconds(Fn &&fn)
+{
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
 /** ns per CAPSIM_SPAN open/close pair over @p reps iterations. */
 double
 spanCostNs(uint64_t reps)
@@ -175,30 +235,87 @@ main(int argc, char **argv)
     std::cout << "references per (app, config): " << refs << ", apps: "
               << apps.size() << ", jobs: " << jobs << "\n\n";
 
-    core::CacheStudy per_config =
-        reference::runCacheStudy(model, apps, refs, 8, jobs);
-    core::CacheStudy one_pass = core::runCacheStudy(model, apps, refs, 8, jobs);
-
-    // The speedup claim is only meaningful if the fast path is exact.
-    for (size_t a = 0; a < apps.size(); ++a) {
-        for (size_t c = 0; c < per_config.perf[a].size(); ++c) {
-            const core::CachePerf &slow = per_config.perf[a][c];
-            const core::CachePerf &fast = one_pass.perf[a][c];
-            if (slow.tpi_ns != fast.tpi_ns ||
-                slow.tpi_miss_ns != fast.tpi_miss_ns ||
-                slow.l1_miss_ratio != fast.l1_miss_ratio ||
-                slow.global_miss_ratio != fast.global_miss_ratio ||
-                slow.refs != fast.refs ||
-                slow.instructions != fast.instructions) {
-                std::cerr << "perf_smoke: one-pass result diverges at "
-                          << apps[a].name << " config " << c << "\n";
-                return 1;
-            }
+    core::AdaptiveCacheModel dram_model;
+    {
+        mem::MemConfig dram_config;
+        std::string mem_error;
+        if (!mem::parseMemSpec("dram", dram_config, mem_error)) {
+            std::cerr << "perf_smoke: " << mem_error << "\n";
+            return 1;
         }
+        dram_model.setMemConfig(dram_config);
     }
+    core::CacheStudy per_config;
+    core::CacheStudy one_pass;
+    core::CacheStudy dram_per_config;
+    core::CacheStudy dram_one_pass;
+    SideTimes cache_times;
+    // The speedup claim is only meaningful if the fast path is exact;
+    // under dram the one-pass sweep must match per-config bit for bit
+    // too.  The two one-pass sweeps run next to each other in every
+    // round, for the dram-over-flat gate below.
+    if (!timeSides(
+            {[&] {
+                 per_config =
+                     reference::runCacheStudy(model, apps, refs, 8, jobs);
+                 return per_config.telemetry.wall_seconds;
+             },
+             [&] {
+                 one_pass = core::runCacheStudy(model, apps, refs, 8, jobs);
+                 return one_pass.telemetry.wall_seconds;
+             },
+             [&] {
+                 dram_one_pass =
+                     core::runCacheStudy(dram_model, apps, refs, 8, jobs);
+                 return dram_one_pass.telemetry.wall_seconds;
+             },
+             [&] {
+                 dram_per_config = reference::runCacheStudy(
+                     dram_model, apps, refs, 8, jobs);
+                 return dram_per_config.telemetry.wall_seconds;
+             }},
+            [&] {
+                for (size_t a = 0; a < apps.size(); ++a) {
+                    for (size_t c = 0; c < per_config.perf[a].size(); ++c) {
+                        const core::CachePerf &slow = per_config.perf[a][c];
+                        const core::CachePerf &fast = one_pass.perf[a][c];
+                        if (slow.tpi_ns != fast.tpi_ns ||
+                            slow.tpi_miss_ns != fast.tpi_miss_ns ||
+                            slow.l1_miss_ratio != fast.l1_miss_ratio ||
+                            slow.global_miss_ratio !=
+                                fast.global_miss_ratio ||
+                            slow.refs != fast.refs ||
+                            slow.instructions != fast.instructions) {
+                            std::cerr << "perf_smoke: one-pass result "
+                                         "diverges at "
+                                      << apps[a].name << " config " << c
+                                      << "\n";
+                            return false;
+                        }
+                        const core::CachePerf &dram_slow =
+                            dram_per_config.perf[a][c];
+                        const core::CachePerf &dram_fast =
+                            dram_one_pass.perf[a][c];
+                        if (dram_slow.tpi_ns != dram_fast.tpi_ns ||
+                            dram_slow.tpi_miss_ns != dram_fast.tpi_miss_ns ||
+                            dram_slow.l1_miss_ratio !=
+                                dram_fast.l1_miss_ratio ||
+                            dram_slow.instructions != dram_fast.instructions) {
+                            std::cerr << "perf_smoke: dram one-pass result "
+                                         "diverges from per-config at "
+                                      << apps[a].name << " config " << c
+                                      << "\n";
+                            return false;
+                        }
+                    }
+                }
+                return true;
+            },
+            cache_times))
+        return 1;
 
-    const double slow_s = per_config.telemetry.wall_seconds;
-    const double fast_s = one_pass.telemetry.wall_seconds;
+    const double slow_s = cache_times.fastest[0];
+    const double fast_s = cache_times.fastest[1];
     const double boundary_refs = static_cast<double>(refs) *
                                  static_cast<double>(apps.size()) * 8.0;
     const double slow_rate = slow_s > 0.0 ? boundary_refs / slow_s : 0.0;
@@ -217,8 +334,8 @@ main(int argc, char **argv)
 
     // ---- Memory backends: --mem=flat must be free (bit-identical to
     // the default-constructed model); under dram the one-pass sweep
-    // must match per-config bit for bit, and its per-boundary clocks
-    // must stay cheap -- under 2x the flat one-pass sweep. ----
+    // (checked above) must stay cheap -- under 2x the flat one-pass
+    // sweep. ----
     core::AdaptiveCacheModel flat_model;
     {
         mem::MemConfig flat_config;
@@ -247,38 +364,9 @@ main(int argc, char **argv)
         }
     }
 
-    core::AdaptiveCacheModel dram_model;
-    {
-        mem::MemConfig dram_config;
-        std::string mem_error;
-        if (!mem::parseMemSpec("dram", dram_config, mem_error)) {
-            std::cerr << "perf_smoke: " << mem_error << "\n";
-            return 1;
-        }
-        dram_model.setMemConfig(dram_config);
-    }
-    core::CacheStudy dram_per_config =
-        reference::runCacheStudy(dram_model, apps, refs, 8, jobs);
-    core::CacheStudy dram_one_pass =
-        core::runCacheStudy(dram_model, apps, refs, 8, jobs);
-    for (size_t a = 0; a < apps.size(); ++a) {
-        for (size_t c = 0; c < dram_per_config.perf[a].size(); ++c) {
-            const core::CachePerf &slow = dram_per_config.perf[a][c];
-            const core::CachePerf &fast = dram_one_pass.perf[a][c];
-            if (slow.tpi_ns != fast.tpi_ns ||
-                slow.tpi_miss_ns != fast.tpi_miss_ns ||
-                slow.l1_miss_ratio != fast.l1_miss_ratio ||
-                slow.instructions != fast.instructions) {
-                std::cerr << "perf_smoke: dram one-pass result diverges "
-                             "from per-config at "
-                          << apps[a].name << " config " << c << "\n";
-                return 1;
-            }
-        }
-    }
     const double flat_lane_s = explicit_flat.telemetry.wall_seconds;
-    const double dram_slow_s = dram_per_config.telemetry.wall_seconds;
-    const double dram_s = dram_one_pass.telemetry.wall_seconds;
+    const double dram_slow_s = cache_times.fastest[3];
+    const double dram_s = cache_times.fastest[2];
     const double dram_speedup = dram_s > 0.0 ? dram_slow_s / dram_s : 0.0;
     const double dram_overhead = fast_s > 0.0 ? dram_s / fast_s : 0.0;
 
@@ -310,29 +398,46 @@ main(int argc, char **argv)
               << ", apps: " << iq_apps.size() << ", jobs: " << jobs
               << "\n\n";
 
-    core::IqStudy iq_per_config =
-        reference::runIqStudy(iq_model, iq_apps, instrs, jobs);
-    core::IqStudy iq_one_pass =
-        core::runIqStudy(iq_model, iq_apps, instrs, jobs);
+    core::IqStudy iq_per_config;
+    core::IqStudy iq_one_pass;
+    SideTimes iq_times;
+    if (!timeSides(
+            {[&] {
+                 iq_per_config =
+                     reference::runIqStudy(iq_model, iq_apps, instrs, jobs);
+                 return iq_per_config.telemetry.wall_seconds;
+             },
+             [&] {
+                 iq_one_pass =
+                     core::runIqStudy(iq_model, iq_apps, instrs, jobs);
+                 return iq_one_pass.telemetry.wall_seconds;
+             }},
+            [&] {
+                for (size_t a = 0; a < iq_apps.size(); ++a) {
+                    for (size_t c = 0; c < iq_per_config.perf[a].size();
+                         ++c) {
+                        const core::IqPerf &slow = iq_per_config.perf[a][c];
+                        const core::IqPerf &fast = iq_one_pass.perf[a][c];
+                        if (slow.entries != fast.entries ||
+                            slow.instructions != fast.instructions ||
+                            slow.cycles != fast.cycles ||
+                            slow.ipc != fast.ipc ||
+                            slow.tpi_ns != fast.tpi_ns) {
+                            std::cerr << "perf_smoke: one-pass IQ result "
+                                         "diverges at "
+                                      << iq_apps[a].name << " config " << c
+                                      << "\n";
+                            return false;
+                        }
+                    }
+                }
+                return true;
+            },
+            iq_times))
+        return 1;
 
-    for (size_t a = 0; a < iq_apps.size(); ++a) {
-        for (size_t c = 0; c < iq_per_config.perf[a].size(); ++c) {
-            const core::IqPerf &slow = iq_per_config.perf[a][c];
-            const core::IqPerf &fast = iq_one_pass.perf[a][c];
-            if (slow.entries != fast.entries ||
-                slow.instructions != fast.instructions ||
-                slow.cycles != fast.cycles || slow.ipc != fast.ipc ||
-                slow.tpi_ns != fast.tpi_ns) {
-                std::cerr << "perf_smoke: one-pass IQ result diverges "
-                             "at "
-                          << iq_apps[a].name << " config " << c << "\n";
-                return 1;
-            }
-        }
-    }
-
-    const double iq_slow_s = iq_per_config.telemetry.wall_seconds;
-    const double iq_fast_s = iq_one_pass.telemetry.wall_seconds;
+    const double iq_slow_s = iq_times.fastest[0];
+    const double iq_fast_s = iq_times.fastest[1];
     const double lane_instrs = static_cast<double>(instrs) *
                                static_cast<double>(iq_apps.size()) *
                                static_cast<double>(sizes);
@@ -358,50 +463,71 @@ main(int argc, char **argv)
     // tables.  Both engines run serially (jobs=1) so the ratio is the
     // algorithmic speedup, not a parallelism artefact; the exactness
     // check is every entry of the table the winner reduction reads. ----
-    auto seconds = [](auto fn) {
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
-
     const trace::AppProfile &oracle_app = iq_apps.front();
     const std::vector<int> oracle_sizes =
         core::AdaptiveIqModel::studySizes();
     std::vector<std::vector<core::IqIntervalCost>> oracle_lanes,
         oracle_onepass;
-    const double oracle_iq_slow_s = seconds([&] {
-        oracle_lanes = reference::intervalOracleCosts(
-            oracle_app, instrs, oracle_sizes, core::kIntervalInstructions);
-    });
-    const double oracle_iq_fast_s = seconds([&] {
-        oracle_onepass = core::intervalOracleCosts(
-            oracle_app, instrs, oracle_sizes, core::kIntervalInstructions);
-    });
-    if (oracle_lanes != oracle_onepass) {
-        std::cerr << "perf_smoke: one-pass IQ oracle diverges at "
-                  << oracle_app.name << "\n";
+    SideTimes oracle_iq_times;
+    if (!timeSides(
+            {[&] {
+                 return seconds([&] {
+                     oracle_lanes = reference::intervalOracleCosts(
+                         oracle_app, instrs, oracle_sizes,
+                         core::kIntervalInstructions);
+                 });
+             },
+             [&] {
+                 return seconds([&] {
+                     oracle_onepass = core::intervalOracleCosts(
+                         oracle_app, instrs, oracle_sizes,
+                         core::kIntervalInstructions);
+                 });
+             }},
+            [&] {
+                if (oracle_lanes == oracle_onepass)
+                    return true;
+                std::cerr << "perf_smoke: one-pass IQ oracle diverges at "
+                          << oracle_app.name << "\n";
+                return false;
+            },
+            oracle_iq_times))
         return 1;
-    }
+    const double oracle_iq_slow_s = oracle_iq_times.fastest[0];
+    const double oracle_iq_fast_s = oracle_iq_times.fastest[1];
 
     const trace::AppProfile &oracle_cache_app = apps.front();
     const std::vector<int> oracle_boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
     std::vector<std::vector<core::CacheIntervalCost>> cache_oracle_lanes,
         cache_oracle_onepass;
-    const double oracle_cache_slow_s = seconds([&] {
-        cache_oracle_lanes = reference::cacheIntervalOracleCosts(
-            model, oracle_cache_app, refs, oracle_boundaries, 1000);
-    });
-    const double oracle_cache_fast_s = seconds([&] {
-        cache_oracle_onepass = core::cacheIntervalOracleCosts(
-            model, oracle_cache_app, refs, oracle_boundaries, 1000);
-    });
-    if (cache_oracle_lanes != cache_oracle_onepass) {
-        std::cerr << "perf_smoke: one-pass cache oracle diverges at "
-                  << oracle_cache_app.name << "\n";
+    SideTimes oracle_cache_times;
+    if (!timeSides(
+            {[&] {
+                 return seconds([&] {
+                     cache_oracle_lanes = reference::cacheIntervalOracleCosts(
+                         model, oracle_cache_app, refs, oracle_boundaries,
+                         1000);
+                 });
+             },
+             [&] {
+                 return seconds([&] {
+                     cache_oracle_onepass = core::cacheIntervalOracleCosts(
+                         model, oracle_cache_app, refs, oracle_boundaries,
+                         1000);
+                 });
+             }},
+            [&] {
+                if (cache_oracle_lanes == cache_oracle_onepass)
+                    return true;
+                std::cerr << "perf_smoke: one-pass cache oracle diverges "
+                             "at "
+                          << oracle_cache_app.name << "\n";
+                return false;
+            },
+            oracle_cache_times))
         return 1;
-    }
+    const double oracle_cache_slow_s = oracle_cache_times.fastest[0];
+    const double oracle_cache_fast_s = oracle_cache_times.fastest[1];
 
     const double oracle_iq_speedup =
         oracle_iq_fast_s > 0.0 ? oracle_iq_slow_s / oracle_iq_fast_s
@@ -520,10 +646,8 @@ main(int argc, char **argv)
     cost_profiler.disarm();
 
     const double study_wall_s =
-        slow_s + fast_s + flat_lane_s + dram_slow_s + dram_s + iq_slow_s +
-        iq_fast_s + oracle_iq_slow_s + oracle_iq_fast_s +
-        oracle_cache_slow_s + oracle_cache_fast_s + serve_cold_s +
-        serve_warm_s;
+        cache_times.total_s + flat_lane_s + iq_times.total_s + oracle_iq_times.total_s +
+        oracle_cache_times.total_s + serve_cold_s + serve_warm_s;
     const double overhead_pct =
         study_wall_s > 0.0
             ? 100.0 * static_cast<double>(study_spans) * disarmed_ns /
@@ -561,6 +685,7 @@ main(int argc, char **argv)
             << "  \"apps\": " << apps.size() << ",\n"
             << "  \"boundaries\": 8,\n"
             << "  \"jobs\": " << jobs << ",\n"
+            << "  \"timed_runs\": " << kTimedRuns << ",\n"
             << "  \"per_config_seconds\": " << Cell(slow_s, 6).str()
             << ",\n"
             << "  \"onepass_seconds\": " << Cell(fast_s, 6).str() << ",\n"

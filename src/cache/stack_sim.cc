@@ -132,70 +132,4 @@ StackSimulator::statsAll() const
     return all;
 }
 
-BoundarySweeper::BoundarySweeper(const HierarchyGeometry &geometry,
-                                 int l1_increments)
-    : stack_(geometry), boundary_(l1_increments)
-{
-    capAssert(l1_increments >= 1 &&
-              l1_increments < stack_.geometry().increments,
-              "boundary %d out of range", l1_increments);
-}
-
-void
-BoundarySweeper::setBoundary(int l1_increments)
-{
-    capAssert(l1_increments >= 1 &&
-              l1_increments < stack_.geometry().increments,
-              "boundary %d out of range", l1_increments);
-    if (l1_increments == boundary_)
-        return;
-    if (!fallback_ && stack_.refs() > 0)
-        engageFallback();
-    boundary_ = l1_increments;
-    if (live_)
-        live_->setBoundary(l1_increments);
-}
-
-void
-BoundarySweeper::engageFallback()
-{
-    // The stack property breaks the moment the live boundary moves
-    // mid-run: replay the recorded history through a real hierarchy
-    // (trivially exact) and continue the live lane on it.  The
-    // counterfactual stack lanes stay untouched -- and exact.
-    fallback_ = true;
-    live_ = std::make_unique<ExclusiveHierarchy>(stack_.geometry(),
-                                                 boundary_);
-    for (const trace::TraceRecord &record : history_)
-        live_->access(record);
-    fallback_replayed_ = history_.size();
-    history_.clear();
-    history_.shrink_to_fit();
-}
-
-void
-BoundarySweeper::access(const trace::TraceRecord &record)
-{
-    accessBatch(&record, 1);
-}
-
-void
-BoundarySweeper::accessBatch(const trace::TraceRecord *records,
-                             uint64_t count)
-{
-    stack_.accessBatch(records, count);
-    if (fallback_) {
-        for (uint64_t i = 0; i < count; ++i)
-            live_->access(records[i]);
-    } else {
-        history_.insert(history_.end(), records, records + count);
-    }
-}
-
-CacheStats
-BoundarySweeper::liveStats() const
-{
-    return fallback_ ? live_->stats() : stack_.statsFor(boundary_);
-}
-
 } // namespace cap::cache

@@ -30,13 +30,8 @@
  * The one thing the stack property does NOT survive is a mid-run
  * setBoundary(): physical placement then starts to matter (the
  * re-labelled increments expose holes the static invariant rules
- * out).  BoundarySweeper wraps the engine with a self-checking
- * fallback: it behaves as a live reconfigurable hierarchy, serving
- * stats from the stack while the boundary has never moved, and on the
- * first mid-run reconfiguration replays the recorded reference history
- * through a real ExclusiveHierarchy and continues on it -- while the
- * counterfactual all-boundary sweep stays exact (its lanes never
- * reconfigure).  See docs/PERF.md for the full argument.
+ * out), so a machine that reconfigures runs an ExclusiveHierarchy.
+ * See docs/PERF.md for the full argument.
  */
 
 #ifndef CAPSIM_CACHE_STACK_SIM_H
@@ -44,7 +39,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "cache/exclusive_hierarchy.h"
@@ -133,68 +127,6 @@ class StackSimulator
     uint64_t refs_ = 0;
     uint64_t misses_ = 0;
     uint64_t writebacks_ = 0;
-};
-
-/**
- * A reconfigurable machine facade with a built-in counterfactual
- * sweep.  While the boundary never moves mid-run, the live machine's
- * stats come straight from the stack engine (one-pass mode) and the
- * reference history is recorded; the first mid-run setBoundary()
- * breaks the stack property, so the sweeper self-checks out: it
- * replays the history through a real ExclusiveHierarchy (exactness
- * preserved by construction) and continues the live simulation on it.
- * The all-boundary counterfactual statsFor()/statsAll() remain exact
- * in both modes, because those static lanes never reconfigure.
- */
-class BoundarySweeper
-{
-  public:
-    BoundarySweeper(const HierarchyGeometry &geometry, int l1_increments);
-
-    const HierarchyGeometry &geometry() const { return stack_.geometry(); }
-
-    /** Live boundary. */
-    int l1Increments() const { return boundary_; }
-
-    /**
-     * Move the live boundary.  A move after the first access engages
-     * the fallback (the one-pass stack cannot model it); moves before
-     * any reference just re-label the initial boundary.
-     */
-    void setBoundary(int l1_increments);
-
-    /** Simulate one reference on the live machine (and the stacks). */
-    void access(const trace::TraceRecord &record);
-
-    /** Batched access. */
-    void accessBatch(const trace::TraceRecord *records, uint64_t count);
-
-    /** Exact stats of the live (possibly reconfigured) machine. */
-    CacheStats liveStats() const;
-
-    /** Exact counterfactual stats of static boundary @p k. */
-    CacheStats statsFor(int k) const { return stack_.statsFor(k); }
-
-    /** Exact counterfactual stats of every static boundary. */
-    std::vector<CacheStats> statsAll() const { return stack_.statsAll(); }
-
-    /** True while the live machine is served by the one-pass stack. */
-    bool onePassActive() const { return !fallback_; }
-
-    /** References replayed when the fallback engaged (0 = never). */
-    uint64_t fallbackReplayedRefs() const { return fallback_replayed_; }
-
-  private:
-    void engageFallback();
-
-    StackSimulator stack_;
-    int boundary_;
-    bool fallback_ = false;
-    uint64_t fallback_replayed_ = 0;
-    /** Reference history kept until the fallback decision is final. */
-    std::vector<trace::TraceRecord> history_;
-    /** Live machine; materialized only after a mid-run reconfig. */
-    std::unique_ptr<ExclusiveHierarchy> live_;
 };
 
 } // namespace cap::cache

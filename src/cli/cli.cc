@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -45,15 +46,34 @@ Options::get(const std::string &key, const std::string &fallback) const
     return it == flags.end() ? fallback : it->second;
 }
 
+namespace {
+
+/** @p text as a decimal integer in [@p min, @p max], all of it. */
+bool
+parseU64(const std::string &text, uint64_t min, uint64_t max,
+         uint64_t &value)
+{
+    const char *last = text.data() + text.size();
+    auto [end, ec] = std::from_chars(text.data(), last, value);
+    return !text.empty() && ec == std::errc() && end == last &&
+           value >= min && value <= max;
+}
+
+} // namespace
+
 uint64_t
-Options::getU64(const std::string &key, uint64_t fallback) const
+Options::getU64(const std::string &key, uint64_t fallback, uint64_t min,
+                uint64_t max) const
 {
     auto it = flags.find(key);
     if (it == flags.end())
         return fallback;
-    char *end = nullptr;
-    uint64_t value = std::strtoull(it->second.c_str(), &end, 10);
-    return (end && *end == '\0') ? value : fallback;
+    uint64_t value = 0;
+    if (!parseU64(it->second, min, max, value))
+        throw UsageError("--" + key + " must be an integer in [" +
+                         std::to_string(min) + ", " + std::to_string(max) +
+                         "], got '" + it->second + "'");
+    return value;
 }
 
 double
@@ -62,9 +82,20 @@ Options::getDouble(const std::string &key, double fallback) const
     auto it = flags.find(key);
     if (it == flags.end())
         return fallback;
-    char *end = nullptr;
-    double value = std::strtod(it->second.c_str(), &end);
-    return (end != it->second.c_str() && *end == '\0') ? value : fallback;
+    const std::string &text = it->second;
+    const char *last = text.data() + text.size();
+    double value = 0.0;
+    // from_chars takes no '+' but does take '-', "inf" and "nan"; a
+    // leading digit or point rules all three out.
+    auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (text.empty() ||
+        !(std::isdigit(static_cast<unsigned char>(text[0])) ||
+          text[0] == '.') ||
+        ec != std::errc() || end != last)
+        throw UsageError("--" + key +
+                         " must be a finite unsigned number, got '" +
+                         text + "'");
+    return value;
 }
 
 Options
@@ -280,42 +311,14 @@ selectApps(const std::string &which, bool cache_study, std::ostream &err,
     return {};
 }
 
-/** The --jobs flag as given (@p fallback when absent).  Anything but
- *  a non-negative integer that fits an int is a usage error: returns
- *  false with a message, leaving @p jobs untouched. */
-bool
-jobsValue(const Options &options, int fallback, int &jobs,
-          std::ostream &err)
-{
-    auto it = options.flags.find("jobs");
-    if (it == options.flags.end()) {
-        jobs = fallback;
-        return true;
-    }
-    const std::string &text = it->second;
-    const char *last = text.data() + text.size();
-    int value = 0;
-    auto [end, ec] = std::from_chars(text.data(), last, value);
-    if (ec != std::errc() || end != last || text[0] == '-') {
-        err << "capsim: --jobs must be a non-negative integer below "
-               "2^31 (0 = every hardware thread), got '"
-            << text << "'\n";
-        return false;
-    }
-    jobs = value;
-    return true;
-}
-
 /** The --jobs flag of a study: absent/1 = serial, 0 = every hardware
- *  thread.  Returns false on a malformed value (see jobsValue()). */
-bool
-jobsFlag(const Options &options, int &jobs, std::ostream &err)
+ *  thread. */
+int
+jobsFlag(const Options &options)
 {
-    if (!jobsValue(options, 1, jobs, err))
-        return false;
-    if (jobs == 0)
-        jobs = defaultJobs();
-    return true;
+    const int jobs = static_cast<int>(
+        options.getU64("jobs", 1, 0, std::numeric_limits<int>::max()));
+    return jobs == 0 ? defaultJobs() : jobs;
 }
 
 /** The --mem flag: "flat" (default) keeps the fixed-latency miss
@@ -521,9 +524,8 @@ sampleFlag(const Options &options, sample::SampleParams &params,
             comma == std::string::npos
                 ? spec.substr(start)
                 : spec.substr(start, comma - start);
-        char *end = nullptr;
-        uint64_t value = std::strtoull(part.c_str(), &end, 10);
-        if (part.empty() || !end || *end != '\0' || value == 0) {
+        uint64_t value = 0;
+        if (!parseU64(part, 1, UINT64_MAX, value)) {
             err << "capsim: bad --sample spec '" << spec
                 << "' (want k[,interval[,warmup]]; use --sample=... "
                    "when followed by an application)\n";
@@ -551,9 +553,9 @@ sample::SampleParams
 sampleParamsFromKnobs(const Options &options)
 {
     sample::SampleParams params;
-    params.interval_len = options.getU64("interval", params.interval_len);
+    params.interval_len = options.getU64("interval", params.interval_len, 1);
     params.clusters = static_cast<size_t>(
-        options.getU64("clusters", params.clusters));
+        options.getU64("clusters", params.clusters, 1));
     params.warmup_len = options.getU64("warmup", params.warmup_len);
     params.cold_prefix_len =
         options.getU64("cold-prefix", params.cold_prefix_len);
@@ -571,7 +573,7 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
     auto apps = selectApps(options.positional[0], true, err, ok);
     if (!ok)
         return 2;
-    uint64_t refs = options.getU64("refs", 150000);
+    uint64_t refs = options.getU64("refs", 150000, 1);
     sample::SampleParams sparams;
     bool sampled = false;
     if (!sampleFlag(options, sparams, err, sampled))
@@ -579,9 +581,7 @@ cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
     mem::MemConfig mem_config;
     if (!memFlag(options, mem_config, err))
         return 2;
-    int jobs = 1;
-    if (!jobsFlag(options, jobs, err))
-        return 2;
+    const int jobs = jobsFlag(options);
     if (sampled && mem_config.isDram()) {
         err << "capsim: --sample supports --mem=flat only (sampled "
                "reconstruction assumes a position-independent miss "
@@ -625,7 +625,7 @@ cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
     auto apps = selectApps(options.positional[0], false, err, ok);
     if (!ok)
         return 2;
-    uint64_t instrs = options.getU64("instrs", 120000);
+    uint64_t instrs = options.getU64("instrs", 120000, 1);
     sample::SampleParams sparams;
     bool sampled = false;
     if (!sampleFlag(options, sparams, err, sampled))
@@ -633,9 +633,7 @@ cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
     mem::MemConfig mem_config;
     if (!memFlag(options, mem_config, err))
         return 2;
-    int jobs = 1;
-    if (!jobsFlag(options, jobs, err))
-        return 2;
+    const int jobs = jobsFlag(options);
     if (mem_config.isDram()) {
         err << "capsim: note: the IQ-side machine models no memory "
                "hierarchy; --mem=dram is accepted but has no effect "
@@ -682,8 +680,10 @@ cmdIntervalRun(const Options &options, std::ostream &out,
         err << "capsim: interval-run needs a single application\n";
         return 2;
     }
-    uint64_t instrs = options.getU64("instrs", 120000);
-    int entries = static_cast<int>(options.getU64("entries", 32));
+    uint64_t instrs = options.getU64("instrs", 120000, 1);
+    constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+    int entries =
+        static_cast<int>(options.getU64("entries", 32, 0, kIntMax));
 
     std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
     if (std::find(sizes.begin(), sizes.end(), entries) == sizes.end()) {
@@ -696,12 +696,14 @@ cmdIntervalRun(const Options &options, std::ostream &out,
     params.interval_instrs =
         options.getU64("interval", core::kIntervalInstructions);
     params.probe_period = static_cast<int>(options.getU64(
-        "probe-period", static_cast<uint64_t>(params.probe_period)));
+        "probe-period", static_cast<uint64_t>(params.probe_period),
+        0, kIntMax));
     params.confidence_needed = static_cast<int>(options.getU64(
-        "confidence",
-        static_cast<uint64_t>(params.confidence_needed)));
+        "confidence", static_cast<uint64_t>(params.confidence_needed),
+        0, kIntMax));
     params.probe_period_max = static_cast<int>(options.getU64(
-        "probe-max", static_cast<uint64_t>(params.probe_period_max)));
+        "probe-max", static_cast<uint64_t>(params.probe_period_max),
+        0, kIntMax));
     params.phase_distance_threshold = options.getDouble(
         "phase-threshold", params.phase_distance_threshold);
     if (params.interval_instrs == 0 || params.probe_period < 2 ||
@@ -803,6 +805,15 @@ cmdAnalyzeTrace(const Options &options, std::ostream &out,
         err << "capsim: analyze-trace needs a JSONL trace file\n";
         return 2;
     }
+    std::string app_filter = options.get("app");
+    std::string lane_filter = options.get("lane");
+    uint64_t first = options.getU64("first", 0);
+    uint64_t last =
+        options.getU64("last", std::numeric_limits<uint64_t>::max());
+    uint64_t stride = options.getU64("stride", 1);
+    if (stride == 0)
+        stride = 1;
+
     const std::string &path = options.positional[0];
     std::ifstream file(path);
     if (!file) {
@@ -815,15 +826,6 @@ cmdAnalyzeTrace(const Options &options, std::ostream &out,
         err << "capsim: " << path << ": " << error << '\n';
         return 2;
     }
-
-    std::string app_filter = options.get("app");
-    std::string lane_filter = options.get("lane");
-    uint64_t first = options.getU64("first", 0);
-    uint64_t last =
-        options.getU64("last", std::numeric_limits<uint64_t>::max());
-    uint64_t stride = options.getU64("stride", 1);
-    if (stride == 0)
-        stride = 1;
     auto selected = [&](const obs::TraceEvent &event) {
         if (!app_filter.empty() && event.app != app_filter)
             return false;
@@ -1089,12 +1091,12 @@ cmdSampleProfile(const Options &options, std::ostream &out,
     ObsSession session = obsSessionFromFlags(options, err);
 
     if (side == "cache") {
-        uint64_t refs = options.getU64("refs", 600000);
+        uint64_t refs = options.getU64("refs", 600000, 1);
         core::AdaptiveCacheModel model;
         sample::CacheSampler sampler(model, apps[0], refs, params);
         printSamplePlan(out, side, apps[0].name, refs, sampler.plan());
     } else {
-        uint64_t instrs = options.getU64("instrs", 400000);
+        uint64_t instrs = options.getU64("instrs", 400000, 1);
         core::AdaptiveIqModel model;
         sample::IqSampler sampler(model, apps[0], instrs, params);
         printSamplePlan(out, side, apps[0].name, instrs, sampler.plan());
@@ -1119,12 +1121,10 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
     if (!ok)
         return 2;
     sample::SampleParams params = sampleParamsFromKnobs(options);
-    int jobs = 1;
-    if (!jobsFlag(options, jobs, err))
-        return 2;
+    const int jobs = jobsFlag(options);
     bool validate = options.flags.count("validate") > 0;
     bool check = options.flags.count("check") > 0;
-    double mae_max = static_cast<double>(options.getU64("mae-max", 2));
+    double mae_max = options.getDouble("mae-max", 2.0);
     if (check && !validate) {
         err << "capsim: --check requires --validate\n";
         return 2;
@@ -1254,7 +1254,7 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
                    "application\n";
             return 2;
         }
-        uint64_t instrs = options.getU64("instrs", 400000);
+        uint64_t instrs = options.getU64("instrs", 400000, 1);
         core::AdaptiveIqModel model;
         core::IntervalRunResult result = sample::runSampledIntervalOracle(
             model, apps[0], instrs, core::AdaptiveIqModel::studySizes(),
@@ -1308,7 +1308,7 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
     };
 
     if (side == "cache") {
-        uint64_t refs = options.getU64("refs", 600000);
+        uint64_t refs = options.getU64("refs", 600000, 1);
         core::AdaptiveCacheModel model;
         sample::SampledCacheStudy study = sample::runSampledCacheStudy(
             model, apps, refs, params, 8, jobs, session.hooks());
@@ -1345,7 +1345,7 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
                    mae, argmin_kept, speedup);
         }
     } else {
-        uint64_t instrs = options.getU64("instrs", 400000);
+        uint64_t instrs = options.getU64("instrs", 400000, 1);
         core::AdaptiveIqModel model;
         sample::SampledIqStudy study = sample::runSampledIqStudy(
             model, apps, instrs, params, jobs, session.hooks());
@@ -1413,7 +1413,7 @@ cmdGenTrace(const Options &options, std::ostream &out, std::ostream &err)
         return 2;
     }
     if (side == "iq") {
-        uint64_t instrs = options.getU64("instrs", 100000);
+        uint64_t instrs = options.getU64("instrs", 100000, 1);
         ooo::InstructionStream stream(apps[0].ilp, apps[0].seed);
         uint64_t written =
             ooo::writeUopTraceFile(options.positional[1], stream, instrs);
@@ -1421,7 +1421,7 @@ cmdGenTrace(const Options &options, std::ostream &out, std::ostream &err)
             << " to " << options.positional[1] << '\n';
         return 0;
     }
-    uint64_t refs = options.getU64("refs", 100000);
+    uint64_t refs = options.getU64("refs", 100000, 1);
     trace::SyntheticTraceSource source(apps[0].cache, apps[0].seed, refs);
     uint64_t written =
         trace::writeTraceFile(options.positional[1], source, refs);
@@ -1438,7 +1438,7 @@ cmdAnalyze(const Options &options, std::ostream &out, std::ostream &err)
         return 2;
     }
     uint64_t limit = options.getU64("limit", 0);
-    uint64_t block = options.getU64("block", trace::kBlockBytes);
+    uint64_t block = options.getU64("block", trace::kBlockBytes, 1);
 
     trace::FileTraceSource source(options.positional[0]);
     trace::TraceCharacter character =
@@ -1475,8 +1475,8 @@ cmdServe(const Options &options, std::ostream &out, std::ostream &err)
     config.cache_capacity =
         static_cast<size_t>(options.getU64("cache", 4096));
     config.spill_path = options.get("spill");
-    if (!jobsValue(options, 0, config.jobs, err))
-        return 2;
+    config.jobs = static_cast<int>(
+        options.getU64("jobs", 0, 0, std::numeric_limits<int>::max()));
     config.heartbeats = options.flags.count("heartbeats") > 0;
     config.heartbeat_period_s =
         options.getDouble("heartbeat-period", 1.0);
@@ -1493,9 +1493,14 @@ cmdServe(const Options &options, std::ostream &out, std::ostream &err)
         return 2;
     }
 
-    serve::StudyServer server(config);
-    if (stdio)
+    if (stdio) {
+        serve::StudyServer server(config);
         return serve::serveStdio(server, std::cin, out);
+    }
+    // Before the server starts its threads, so that they inherit the
+    // block and only serveSocket()'s poll takes a stop signal.
+    const serve::StopSignalBlock stop_block;
+    serve::StudyServer server(config);
     err << "capsim: serving on " << socket_path << "\n";
     return serve::serveSocket(server, socket_path, err);
 }
@@ -1519,18 +1524,10 @@ cmdClient(const Options &options, std::ostream &out, std::ostream &err)
     return serve::runClient(copts, out, err);
 }
 
-} // namespace
-
 int
-runCommand(const std::vector<std::string> &args, std::ostream &out,
-           std::ostream &err)
+dispatch(const std::string &command, const Options &options,
+         std::ostream &out, std::ostream &err)
 {
-    if (args.empty())
-        return cmdHelp(out);
-    const std::string &command = args[0];
-    Options options =
-        parseArgs(std::vector<std::string>(args.begin() + 1, args.end()));
-
     if (command == "help" || command == "--help")
         return cmdHelp(out);
     if (command == "apps")
@@ -1566,6 +1563,25 @@ runCommand(const std::vector<std::string> &args, std::ostream &out,
            "  client, help\n"
            "(try 'capsim help')\n";
     return kUnknownCommandExit;
+}
+
+} // namespace
+
+int
+runCommand(const std::vector<std::string> &args, std::ostream &out,
+           std::ostream &err)
+{
+    if (args.empty())
+        return cmdHelp(out);
+    const std::string &command = args[0];
+    Options options =
+        parseArgs(std::vector<std::string>(args.begin() + 1, args.end()));
+    try {
+        return dispatch(command, options, out, err);
+    } catch (const UsageError &error) {
+        err << "capsim: " << error.what() << "\n";
+        return 2;
+    }
 }
 
 } // namespace cap::cli

@@ -9,12 +9,20 @@
 #ifndef CAPSIM_CLI_CLI_H
 #define CAPSIM_CLI_CLI_H
 
+#include <cstdint>
 #include <map>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace cap::cli {
+
+/** A malformed command line; runCommand() reports it and returns 2. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /** Parsed command line: --key value / --key=value flags + positionals. */
 struct Options
@@ -26,10 +34,21 @@ struct Options
     std::string get(const std::string &key,
                     const std::string &fallback = "") const;
 
-    /** Flag parsed as u64; @p fallback when absent or malformed. */
-    uint64_t getU64(const std::string &key, uint64_t fallback) const;
+    /**
+     * Flag parsed as a decimal integer in [@p min, @p max]; @p fallback
+     * when absent.  Throws UsageError naming the flag when the value is
+     * empty, signed, not an integer, followed by anything, or outside
+     * [@p min, @p max].
+     */
+    uint64_t getU64(const std::string &key, uint64_t fallback,
+                    uint64_t min = 0, uint64_t max = UINT64_MAX) const;
 
-    /** Flag parsed as double; @p fallback when absent or malformed. */
+    /**
+     * Flag parsed as a finite, unsigned decimal number; @p fallback
+     * when absent.  Throws UsageError naming the flag when the value is
+     * empty, signed, not a number, followed by anything, or out of
+     * double's range.
+     */
     double getDouble(const std::string &key, double fallback) const;
 };
 

@@ -27,11 +27,14 @@ InstructionStream::InstructionStream(const trace::IlpBehavior &behavior,
                       kMaxLatency);
         PhaseDraw draw;
         draw.floor = std::max<uint32_t>(1, phase.min_dep_distance);
-        draw.p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);
-        draw.p2 = 1.0 / std::max(1.0, phase.mean_dep_distance2);
-        draw.log_q1 = Rng::geometricLog(draw.p1);
-        draw.log_q2 = Rng::geometricLog(draw.p2);
-        draws_.push_back(draw);
+        const uint64_t cap = kMaxDepDistance - draw.floor;
+        const double p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);
+        const double p2 = 1.0 / std::max(1.0, phase.mean_dep_distance2);
+        if (p1 < 1.0)
+            draw.gap1 = InverseTable::geometric(p1, cap);
+        if (p2 < 1.0)
+            draw.gap2 = InverseTable::geometric(p2, cap);
+        draws_.push_back(std::move(draw));
     }
     segment_left_ = behavior_.schedule[0].length_instrs;
 }
@@ -120,19 +123,18 @@ InstructionStream::nextBatch(MicroOp *out, uint64_t max)
         uint64_t chunk = std::min(max - n, segment_left_);
         // The RNG call sequence below matches next() exactly, so batch
         // and single-op generation stay cursor-equivalent.
-        const uint64_t cap = kMaxDepDistance - draw.floor;
         for (uint64_t i = 0; i < chunk; ++i) {
             MicroOp op;
             uint64_t d1 =
-                draw.floor + rng_.geometric(draw.p1, cap, draw.log_q1);
+                draw.floor + (draw.gap1 ? draw.gap1->draw(rng_) : 0);
             op.src1_dist = static_cast<uint32_t>(std::min<uint64_t>(
                 d1, position_ == 0
                         ? 0
                         : std::min<uint64_t>(position_,
                                              kMaxDepDistance)));
             if (position_ > 0 && rng_.chance(phase.second_src_prob)) {
-                uint64_t d2 = draw.floor +
-                              rng_.geometric(draw.p2, cap, draw.log_q2);
+                uint64_t d2 =
+                    draw.floor + (draw.gap2 ? draw.gap2->draw(rng_) : 0);
                 op.src2_dist = static_cast<uint32_t>(std::min<uint64_t>(
                     d2, std::min<uint64_t>(position_, kMaxDepDistance)));
             }

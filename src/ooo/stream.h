@@ -8,11 +8,13 @@
 #define CAPSIM_OOO_STREAM_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ooo/op_source.h"
 #include "ooo/uop.h"
 #include "trace/profile.h"
+#include "util/inverse_table.h"
 #include "util/rng.h"
 
 namespace cap::ooo {
@@ -38,8 +40,7 @@ class InstructionStream : public OpSource
      * identical to @p max next() calls -- same ops, same generator
      * state afterwards, including cursor equivalence -- but hoists
      * the per-op phase lookup out of the loop and draws dependency
-     * distances with each phase's precomputed geometric denominator.
-     * Returns @p max.
+     * distances from each phase's InverseTables.  Returns @p max.
      */
     uint64_t nextBatch(MicroOp *out, uint64_t max) override;
 
@@ -78,11 +79,11 @@ class InstructionStream : public OpSource
     struct PhaseDraw
     {
         uint64_t floor;
-        double p1;
-        double p2;
-        /** Rng::geometricLog of p1 and p2. */
-        double log_q1;
-        double log_q2;
+        /** Rng::geometric(p, kMaxDepDistance - floor) for the phase's
+         *  two mean distances; none where p == 1, which draws 0 and
+         *  consumes no random number. */
+        std::optional<InverseTable> gap1;
+        std::optional<InverseTable> gap2;
     };
 
     const trace::IlpBehavior behavior_;

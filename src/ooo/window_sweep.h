@@ -1,7 +1,7 @@
 /**
  * @file
  * One-pass counterfactual instruction-queue sweep (the IQ-side
- * counterpart of cache::BoundarySweeper).
+ * counterpart of cache::StackSimulator).
  *
  * The paper's IQ study (Section 5.3, Figures 9-11) evaluates every
  * queue size with an independent CoreModel run over the same op

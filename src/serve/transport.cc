@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -99,10 +100,28 @@ session(StudyServer &server, int fd)
 
 } // namespace
 
+StopSignalBlock::StopSignalBlock()
+{
+    sigset_t stop_signals;
+    sigemptyset(&stop_signals);
+    sigaddset(&stop_signals, SIGINT);
+    sigaddset(&stop_signals, SIGTERM);
+    pthread_sigmask(SIG_BLOCK, &stop_signals, &previous_);
+    wait_mask_ = previous_;
+    sigdelset(&wait_mask_, SIGINT);
+    sigdelset(&wait_mask_, SIGTERM);
+}
+
+StopSignalBlock::~StopSignalBlock()
+{
+    pthread_sigmask(SIG_SETMASK, &previous_, nullptr);
+}
+
 int
 serveSocket(StudyServer &server, const std::string &path,
             std::ostream &err)
 {
+    const StopSignalBlock stop_block;
     sockaddr_un addr{};
     if (path.size() >= sizeof(addr.sun_path)) {
         err << "capsim serve: socket path too long: " << path << "\n";
@@ -115,7 +134,8 @@ serveSocket(StudyServer &server, const std::string &path,
     }
     // Handlers go in before bind(): once the socket file exists a
     // client or supervisor may signal us, and a stop must still drain
-    // and unlink.
+    // and unlink.  A signal that arrives outside the poll stays
+    // pending until the next one.
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
     std::signal(SIGPIPE, SIG_IGN);
@@ -135,7 +155,8 @@ serveSocket(StudyServer &server, const std::string &path,
     std::vector<std::pair<std::thread, int>> sessions;
     while (!g_stop && !server.shuttingDown()) {
         pollfd pfd{listen_fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 200);
+        const timespec timeout{0, 200'000'000};
+        int ready = ::ppoll(&pfd, 1, &timeout, &stop_block.waitMask());
         if (ready < 0) {
             if (errno == EINTR)
                 continue;

@@ -10,6 +10,7 @@
 #ifndef CAPSIM_SERVE_TRANSPORT_H
 #define CAPSIM_SERVE_TRANSPORT_H
 
+#include <csignal>
 #include <iosfwd>
 #include <string>
 
@@ -18,11 +19,41 @@ namespace cap::serve {
 class StudyServer;
 
 /**
+ * Blocks SIGINT and SIGTERM in the constructing thread, and so in
+ * every thread it starts while the block lasts; the destructor
+ * restores the thread's previous mask.  A thread parked in a
+ * condition-variable wait cannot then take a stop signal meant for
+ * serveSocket()'s poll (under ThreadSanitizer such a thread runs the
+ * handler only when it wakes).  Construct one before the StudyServer
+ * that serveSocket() will run, since the server starts its threads in
+ * its constructor.
+ */
+class StopSignalBlock
+{
+  public:
+    StopSignalBlock();
+    ~StopSignalBlock();
+
+    StopSignalBlock(const StopSignalBlock &) = delete;
+    StopSignalBlock &operator=(const StopSignalBlock &) = delete;
+
+    /** The previous mask less SIGINT and SIGTERM: the mask to wait
+     *  for a stop signal with. */
+    const sigset_t &waitMask() const { return wait_mask_; }
+
+  private:
+    sigset_t previous_;
+    sigset_t wait_mask_;
+};
+
+/**
  * Serve @p server on a unix-domain socket at @p path (an existing
  * socket file is replaced).  Accepts until a client sends a shutdown
  * op or the process receives SIGINT/SIGTERM, then drains the queue,
  * closes every session, and removes the socket file.  Returns a
- * process exit code.
+ * process exit code.  The two signals are blocked in the calling
+ * thread, and so in every session thread, except inside the accept
+ * loop's poll; the caller's mask is restored on return.
  */
 int serveSocket(StudyServer &server, const std::string &path,
                 std::ostream &err);

@@ -15,6 +15,8 @@ ZipfResident::ZipfResident(Region region, uint64_t block_bytes, double s,
     capAssert(n > 0, "ZipfResident region smaller than one block");
     capAssert(n <= UINT32_MAX, "region too large for shuffle table");
     zipf_norm_ = Rng::zipfNorm(n, s);
+    if (s > 0.0)
+        ranks_ = InverseTable::zipf(n, s);
     shuffle_.resize(n);
     std::iota(shuffle_.begin(), shuffle_.end(), 0);
     // Fisher-Yates with a dedicated generator so the spatial layout is
@@ -29,7 +31,8 @@ ZipfResident::ZipfResident(Region region, uint64_t block_bytes, double s,
 Addr
 ZipfResident::next(Rng &rng)
 {
-    uint64_t rank = rng.zipf(shuffle_.size(), s_, zipf_norm_);
+    uint64_t rank = ranks_ ? ranks_->draw(rng)
+                           : rng.zipf(shuffle_.size(), s_, zipf_norm_);
     uint64_t block = shuffle_[rank];
     uint64_t offset = rng.below(block_bytes_);
     return region_.base + block * block_bytes_ + offset;

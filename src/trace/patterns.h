@@ -24,9 +24,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "trace/record.h"
+#include "util/inverse_table.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -101,6 +103,9 @@ class ZipfResident : public Pattern
     double s_;
     /** Rng::zipfNorm over the region's blocks, fixed per pattern. */
     double zipf_norm_;
+    /** Rng::zipf over the region's blocks for s > 0; s <= 0 draws a
+     *  uniform block through Rng::zipf itself. */
+    std::optional<InverseTable> ranks_;
     std::vector<uint32_t> shuffle_;
 };
 

@@ -99,13 +99,7 @@ Rng::geometric(double p, uint64_t cap)
     capAssert(p > 0.0 && p <= 1.0, "geometric requires p in (0,1]");
     if (p >= 1.0)
         return 0;
-    double u = uniform();
-    // Inverse CDF; u == 0 maps to 0 failures.
-    double draw = std::floor(std::log1p(-u) / std::log1p(-p));
-    if (draw < 0.0)
-        draw = 0.0;
-    uint64_t k = static_cast<uint64_t>(draw);
-    return k > cap ? cap : k;
+    return geometricAt(uniform(), geometricLog(p), cap);
 }
 
 double
@@ -116,11 +110,10 @@ Rng::geometricLog(double p)
 }
 
 uint64_t
-Rng::geometric(double p, uint64_t cap, double log_q)
+Rng::geometricAt(double u, double log_q, uint64_t cap)
 {
-    if (p >= 1.0)
-        return 0;
-    double draw = std::floor(std::log1p(-uniform()) / log_q);
+    // Inverse CDF; u == 0 maps to 0 failures.
+    double draw = std::floor(std::log1p(-u) / log_q);
     if (draw < 0.0)
         draw = 0.0;
     uint64_t k = static_cast<uint64_t>(draw);
@@ -179,12 +172,18 @@ uint64_t
 Rng::zipf(uint64_t n, double s, double norm)
 {
     capAssert(n > 0, "zipf over empty range");
-    // Rejection-inversion would be overkill; workloads use small s and
-    // moderate n, so a two-piece approximation of the harmonic CDF is
-    // adequate and deterministic.
     double u = uniform();
     if (s <= 0.0)
         return below(n);
+    return zipfAt(u, n, s, norm);
+}
+
+uint64_t
+Rng::zipfAt(double u, uint64_t n, double s, double norm)
+{
+    // Rejection-inversion would be overkill; workloads use small s and
+    // moderate n, so a two-piece approximation of the harmonic CDF is
+    // adequate and deterministic.
     double target = u * norm;
     // Invert the integral approximation.
     double x;

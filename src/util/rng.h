@@ -53,14 +53,16 @@ class Rng
      */
     uint64_t geometric(double p, uint64_t cap);
 
-    /** geometric() with @p log_q = geometricLog(p) computed once by
-     *  the caller; the same draw, bit for bit (p == 1 still consumes
-     *  no random number). */
-    uint64_t geometric(double p, uint64_t cap, double log_q);
-
     /** The denominator of geometric(p, cap)'s inverse CDF,
      *  log1p(-p), for p in (0, 1]. */
     static double geometricLog(double p);
+
+    /**
+     * geometric(p, cap)'s value at the uniform @p u it draws, with
+     * @p log_q = geometricLog(p), for p < 1: the one definition of the
+     * expression, shared with its InverseTable.
+     */
+    static uint64_t geometricAt(double u, double log_q, uint64_t cap);
 
     /**
      * Draw an index from a discrete distribution given by non-negative
@@ -95,6 +97,13 @@ class Rng
     /** The normalizer of zipf(n, s): the integral approximation of
      *  the generalized harmonic number H(n, s). */
     static double zipfNorm(uint64_t n, double s);
+
+    /**
+     * zipf(n, s, norm)'s value at the uniform @p u it draws first, for
+     * s > 0: the one definition of the expression, shared with its
+     * InverseTable.
+     */
+    static uint64_t zipfAt(double u, uint64_t n, double s, double norm);
 
     /** Derive an independent child generator (for sub-streams). */
     Rng split();

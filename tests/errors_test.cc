@@ -4,6 +4,7 @@
  * (panic) handling across the public API.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -288,6 +289,121 @@ TEST(ErrorPathsTest, MalformedJobsIsAUsageError)
             EXPECT_EQ(out.str(), "") << args[0];
         }
     }
+}
+
+TEST(ErrorPathsTest, MalformedNumericFlagsAreUsageErrors)
+{
+    // Every numeric flag of every verb, given a value that is empty,
+    // signed, fractional where an integer is expected, followed by
+    // junk, or out of range for the field it fills: a usage error that
+    // names the flag, before any output.  Each would otherwise fall
+    // back to the flag's default, wrap a negative count, or (a zero
+    // run length, interval, cluster count or block) abort on an
+    // assertion.
+    const std::string trace_path =
+        testing::TempDir() + "/capsim_numeric_flags.jsonl";
+    struct Case
+    {
+        std::vector<std::string> command;
+        std::string flag;
+        /** 0 is out of range: the field counts something there
+         *  must be at least one of. */
+        bool positive = false;
+        /** The field is an int: 2^31 is out of range. */
+        bool int_field = false;
+    };
+    const std::vector<Case> integer_cases = {
+        {{"cache-sweep", "li"}, "refs", true},
+        {{"iq-sweep", "li"}, "instrs", true},
+        {{"interval-run", "li"}, "instrs", true},
+        {{"interval-run", "li"}, "entries", false, true},
+        {{"interval-run", "li"}, "interval"},
+        {{"interval-run", "li"}, "probe-period", false, true},
+        {{"interval-run", "li"}, "confidence", false, true},
+        {{"interval-run", "li"}, "probe-max", false, true},
+        {{"sample-profile", "li"}, "refs", true},
+        {{"sample-profile", "li", "--study", "iq"}, "instrs", true},
+        {{"sample-profile", "li"}, "interval", true},
+        {{"sample-profile", "li"}, "clusters", true},
+        {{"sample-profile", "li"}, "warmup"},
+        {{"sample-profile", "li"}, "cold-prefix"},
+        {{"sample-run", "li"}, "refs", true},
+        {{"sample-run", "li", "--study", "iq"}, "instrs", true},
+        {{"sample-run", "li"}, "interval", true},
+        {{"sample-run", "li"}, "clusters", true},
+        {{"sample-run", "li"}, "warmup"},
+        {{"sample-run", "li"}, "cold-prefix"},
+        {{"analyze-trace", trace_path}, "first"},
+        {{"analyze-trace", trace_path}, "last"},
+        {{"analyze-trace", trace_path}, "stride"},
+        {{"gen-trace", "li", trace_path}, "refs", true},
+        {{"gen-trace", "li", trace_path, "--study", "iq"}, "instrs", true},
+        {{"analyze", trace_path}, "limit"},
+        {{"analyze", trace_path}, "block", true},
+        {{"serve"}, "queue"},
+        {{"serve"}, "cache"},
+    };
+    const std::vector<Case> number_cases = {
+        {{"interval-run", "li"}, "phase-threshold"},
+        {{"sample-run", "li", "--validate", "--check"}, "mae-max"},
+        {{"serve"}, "heartbeat-period"},
+    };
+    auto expectUsageError = [&](const Case &c, const std::string &value) {
+        std::vector<std::string> args = c.command;
+        args.insert(args.end(), {"--" + c.flag, value});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCommand(args, out, err), 2)
+            << args[0] << " --" << c.flag << " '" << value << "'";
+        EXPECT_NE(err.str().find("--" + c.flag), std::string::npos)
+            << args[0] << " --" << c.flag << " '" << value
+            << "': " << err.str();
+        EXPECT_EQ(out.str(), "") << args[0] << " --" << c.flag;
+    };
+    for (const Case &c : integer_cases) {
+        for (const char *value :
+             {"", "-5", "-0", "+2", "1.5", "1e4", "4x", " 7", "abc",
+              "18446744073709551616", "99999999999999999999"})
+            expectUsageError(c, value);
+        if (c.positive)
+            expectUsageError(c, "0");
+        if (c.int_field)
+            expectUsageError(c, "2147483648");
+    }
+    for (const Case &c : number_cases) {
+        for (const char *value : {"", "-1", "-0.5", "+1", "abc", "0.5x",
+                                  " 1", "nan", "inf", "1e999"})
+            expectUsageError(c, value);
+    }
+    // --sample's k,interval,warmup are counts too.
+    for (const char *spec : {"-5", "4,-1", "4,1e3", "+4"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCommand({"cache-sweep", "li",
+                                   std::string("--sample=") + spec},
+                                  out, err),
+                  2)
+            << spec;
+        EXPECT_NE(err.str().find("--sample"), std::string::npos) << spec;
+    }
+    std::remove(trace_path.c_str());
+}
+
+TEST(ErrorPathsTest, MaeMaxTakesAFraction)
+{
+    // This run's MAE is 0.52%: --mae-max 0.5 must fail the check and
+    // 0.6 pass it (an integer-only read turned 0.5 into the default 2).
+    auto check = [](const char *mae_max) {
+        std::ostringstream out, err;
+        int code = cli::runCommand(
+            {"sample-run", "li", "--study", "iq", "--instrs", "100000",
+             "--interval", "2000", "--warmup", "2000", "--validate",
+             "--check", "--mae-max", mae_max},
+            out, err);
+        EXPECT_NE(out.str().find("| 0.52 "), std::string::npos)
+            << out.str();
+        return code;
+    };
+    EXPECT_EQ(check("0.5"), 1);
+    EXPECT_EQ(check("0.6"), 0);
 }
 
 TEST(ErrorPathsTest, OutOfRangeJobsEnvIsIgnored)

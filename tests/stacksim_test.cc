@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "reference.h"
 #include "sample/sampler.h"
 #include "trace/file_trace.h"
+#include "trace/patterns.h"
 #include "trace/stream.h"
 #include "trace/workloads.h"
 
@@ -128,84 +130,6 @@ TEST(StackSimTest, ResetRestoresColdStart)
     for (int k = 1; k < geo.increments; ++k)
         expectStatsEq(stack.statsFor(k), fresh.statsFor(k),
                       "k=" + std::to_string(k));
-}
-
-// ---------------------------------------------------------------------
-// BoundarySweeper: one-pass live stats + self-checking fallback
-// ---------------------------------------------------------------------
-
-TEST(StackSimTest, SweeperServesLiveStatsFromStack)
-{
-    cache::HierarchyGeometry geo;
-    std::vector<trace::TraceRecord> records = appTrace("stereo", 20000);
-
-    cache::BoundarySweeper sweeper(geo, 3);
-    sweeper.accessBatch(records.data(), records.size());
-    EXPECT_TRUE(sweeper.onePassActive());
-    EXPECT_EQ(sweeper.fallbackReplayedRefs(), 0u);
-
-    cache::ExclusiveHierarchy hierarchy(geo, 3);
-    for (const trace::TraceRecord &record : records)
-        hierarchy.access(record);
-    expectStatsEq(sweeper.liveStats(), hierarchy.stats(), "static live");
-}
-
-TEST(StackSimTest, SweeperBoundaryMoveBeforeFirstAccessStaysOnePass)
-{
-    cache::HierarchyGeometry geo;
-    std::vector<trace::TraceRecord> records = appTrace("li", 10000);
-
-    cache::BoundarySweeper sweeper(geo, 2);
-    sweeper.setBoundary(5); // relabel before any reference
-    sweeper.accessBatch(records.data(), records.size());
-    EXPECT_TRUE(sweeper.onePassActive());
-    EXPECT_EQ(sweeper.l1Increments(), 5);
-
-    cache::ExclusiveHierarchy hierarchy(geo, 5);
-    for (const trace::TraceRecord &record : records)
-        hierarchy.access(record);
-    expectStatsEq(sweeper.liveStats(), hierarchy.stats(),
-                  "relabelled live");
-}
-
-TEST(StackSimTest, SweeperFallbackStaysExactUnderMidRunReconfig)
-{
-    cache::HierarchyGeometry geo;
-    std::vector<trace::TraceRecord> records = appTrace("compress", 24000);
-    const size_t flip1 = 9000;
-    const size_t flip2 = 17000;
-
-    // Reference machine: a real reconfigurable hierarchy.
-    cache::ExclusiveHierarchy hierarchy(geo, 2);
-    cache::BoundarySweeper sweeper(geo, 2);
-    for (size_t i = 0; i < records.size(); ++i) {
-        if (i == flip1) {
-            hierarchy.setBoundary(6);
-            sweeper.setBoundary(6);
-            EXPECT_FALSE(sweeper.onePassActive());
-            EXPECT_EQ(sweeper.fallbackReplayedRefs(), flip1);
-        }
-        if (i == flip2) {
-            hierarchy.setBoundary(3);
-            sweeper.setBoundary(3);
-        }
-        hierarchy.access(records[i]);
-        sweeper.access(records[i]);
-    }
-    EXPECT_FALSE(sweeper.onePassActive());
-    EXPECT_EQ(sweeper.l1Increments(), 3);
-    expectStatsEq(sweeper.liveStats(), hierarchy.stats(),
-                  "reconfigured live");
-
-    // The counterfactual static lanes never reconfigure, so the
-    // all-boundary sweep stays exact even after the fallback engaged.
-    for (int k = 1; k < geo.increments; ++k) {
-        cache::ExclusiveHierarchy lane(geo, k);
-        for (const trace::TraceRecord &record : records)
-            lane.access(record);
-        expectStatsEq(sweeper.statsFor(k), lane.stats(),
-                      "counterfactual k=" + std::to_string(k));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -374,6 +298,51 @@ TEST(BatchedTraceTest, SyntheticBatchMatchesNext)
     EXPECT_EQ(batched.produced(), scalar.produced());
 }
 
+TEST(BatchedTraceTest, ZipfResidentMatchesPlainZipf)
+{
+    // ZipfResident draws its rank from an InverseTable when s > 0; a
+    // twin of it that draws Rng::zipf(n, s, norm) must see the same
+    // addresses and leave its generator in the same state, for every
+    // ZipfResident of every profile and of the phased demo (s == 0
+    // included, which keeps Rng::zipf's uniform draw).
+    std::vector<trace::AppProfile> apps = trace::workloadSuite();
+    apps.push_back(trace::phasedCacheDemo());
+    for (const trace::AppProfile &app : apps) {
+        std::vector<trace::PatternSpec> specs = app.cache.mix;
+        for (const trace::CachePhase &phase : app.cache.phases)
+            specs.insert(specs.end(), phase.mix.begin(), phase.mix.end());
+        for (const trace::PatternSpec &spec : specs) {
+            if (spec.kind != trace::PatternKind::ZipfResident)
+                continue;
+            const trace::Region region{uint64_t{1} << 20, spec.region_bytes};
+            const uint64_t n = region.blocks(trace::kBlockBytes);
+            trace::ZipfResident pattern(region, trace::kBlockBytes,
+                                        spec.zipf_s, app.seed);
+            // The pattern's popularity -> block shuffle, rebuilt.
+            std::vector<uint64_t> shuffle(n);
+            std::iota(shuffle.begin(), shuffle.end(), 0);
+            Rng shuffle_rng(app.seed);
+            for (uint64_t i = n - 1; i > 0; --i)
+                std::swap(shuffle[i], shuffle[shuffle_rng.below(i + 1)]);
+
+            const double norm = Rng::zipfNorm(n, spec.zipf_s);
+            Rng tabled(app.seed);
+            Rng plain(app.seed);
+            for (int i = 0; i < 20000; ++i) {
+                const uint64_t rank = plain.zipf(n, spec.zipf_s, norm);
+                const Addr want = region.base +
+                                  shuffle[rank] * trace::kBlockBytes +
+                                  plain.below(trace::kBlockBytes);
+                ASSERT_EQ(pattern.next(tabled), want)
+                    << app.name << " n=" << n << " s=" << spec.zipf_s
+                    << " draw " << i;
+            }
+            ASSERT_EQ(tabled.saveState(), plain.saveState())
+                << app.name << " n=" << n << " s=" << spec.zipf_s;
+        }
+    }
+}
+
 TEST(BatchedTraceTest, FileBatchMatchesNext)
 {
     const trace::AppProfile &app = trace::findApp("li");
@@ -407,8 +376,8 @@ TEST(BatchedTraceTest, FileBatchMatchesNext)
 TEST(BatchedStreamTest, InstructionBatchMatchesNext)
 {
     // nextBatch() draws with each phase's precomputed parameters
-    // (Rng::geometric with a hoisted denominator); next() recomputes
-    // them per op.  Over one full schedule loop of every IQ-study
+    // (its dependency distances from InverseTables); next() recomputes
+    // them per op and calls Rng::geometric.  Over one full schedule loop of every IQ-study
     // profile and on into the next loop, in batches that straddle the
     // segment boundaries, both must deliver the same ops and leave the
     // generator in the same state.

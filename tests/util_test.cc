@@ -3,14 +3,21 @@
  * Unit tests for the util substrate: statistics, RNG, tables, status.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ooo/uop.h"
+#include "trace/record.h"
+#include "trace/workloads.h"
+#include "util/inverse_table.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -224,32 +231,30 @@ TEST(RngTest, GeometricMeanAndCap)
 
 TEST(RngTest, HoistedGeometricMatchesGeometric)
 {
-    // geometric(p, cap, geometricLog(p)) is geometric(p, cap) with its
-    // denominator computed once: the same value and the same generator
-    // state afterwards for every p, including p == 1, which consumes
-    // no random number.
+    // InverseTable::geometric(p, cap) is geometric(p, cap) with its
+    // inverse CDF tabulated once: the same value and the same generator
+    // state afterwards for every p < 1.  p == 1 builds no table;
+    // geometric() then draws 0 and consumes no random number.
     std::vector<double> grid = {1e-9, 1e-3, 0.01, 1.0 / 3.0, 0.5, 0.75,
-                                0.999, 1.0 - 0x1p-52, 1.0};
-    for (double mean = 1.0; mean <= 64.0; mean += 0.5)
+                                0.999, 1.0 - 0x1p-52};
+    for (double mean = 1.5; mean <= 64.0; mean += 0.5)
         grid.push_back(1.0 / mean); // the generators' 1/mean distances
     for (double p : grid) {
-        const double log_q = Rng::geometricLog(p);
-        for (uint64_t cap : {uint64_t{0}, uint64_t{7}, uint64_t{255},
-                             UINT64_MAX}) {
+        for (uint64_t cap : {uint64_t{0}, uint64_t{7}, uint64_t{255}}) {
+            const InverseTable table = InverseTable::geometric(p, cap);
             Rng plain(41);
-            Rng hoisted(41);
+            Rng tabled(41);
             for (int i = 0; i < 500; ++i) {
-                ASSERT_EQ(plain.geometric(p, cap),
-                          hoisted.geometric(p, cap, log_q))
+                ASSERT_EQ(plain.geometric(p, cap), table.draw(tabled))
                     << "p=" << p << " cap=" << cap << " draw " << i;
             }
-            ASSERT_EQ(plain.saveState(), hoisted.saveState())
+            ASSERT_EQ(plain.saveState(), tabled.saveState())
                 << "p=" << p << " cap=" << cap;
         }
     }
     Rng rng(43);
     const Rng::State before = rng.saveState();
-    EXPECT_EQ(rng.geometric(1.0, 9, Rng::geometricLog(1.0)), 0u);
+    EXPECT_EQ(rng.geometric(1.0, 9), 0u);
     EXPECT_EQ(rng.saveState(), before);
 }
 
@@ -298,6 +303,170 @@ TEST(RngTest, SplitProducesIndependentStream)
         equal += a.next() == child.next() ? 1 : 0;
     EXPECT_LT(equal, 3);
 }
+
+// ---------------------------------------------------------------------
+// InverseTable: every tabulated draw is its expression
+// ---------------------------------------------------------------------
+
+/** A table and the expression it must reproduce, the plain draw's
+ *  value at u = m * 2^-53. */
+struct TabledDraw
+{
+    std::string what;
+    InverseTable table;
+    std::function<uint64_t(double)> expr;
+};
+
+TabledDraw
+geometricDraw(double p, uint64_t cap)
+{
+    const double log_q = Rng::geometricLog(p);
+    return {"geometric p=" + std::to_string(p) +
+                " cap=" + std::to_string(cap),
+            InverseTable::geometric(p, cap),
+            [log_q, cap](double u) {
+                return Rng::geometricAt(u, log_q, cap);
+            }};
+}
+
+TabledDraw
+zipfDraw(uint64_t n, double s)
+{
+    const double norm = Rng::zipfNorm(n, s);
+    return {"zipf n=" + std::to_string(n) + " s=" + std::to_string(s),
+            InverseTable::zipf(n, s),
+            [n, s, norm](double u) { return Rng::zipfAt(u, n, s, norm); }};
+}
+
+/**
+ * Check @p draws' tables against their expressions: at and around both
+ * band edges of each threshold (of 256 evenly spaced ones when a table
+ * has more), at every grid point within +-4096 of those thresholds,
+ * and at @p random_points random grid points spread over the tables.
+ * Stops at a table's first mismatch.
+ */
+void
+expectTablesAreExpressions(const std::vector<TabledDraw> &draws,
+                           uint64_t random_points)
+{
+    constexpr uint64_t kGrid = uint64_t{1} << 53;
+    constexpr uint64_t kBand = InverseTable::kBand;
+    constexpr uint64_t kWindow = 4096;
+    Rng rng(47);
+    for (const TabledDraw &draw : draws) {
+        auto same = [&](uint64_t m) {
+            if (m >= kGrid)
+                return true;
+            const uint64_t want =
+                draw.expr(static_cast<double>(m) * 0x1p-53);
+            const uint64_t got = draw.table.at(m);
+            if (got != want)
+                ADD_FAILURE() << draw.what << " at grid point " << m
+                              << ": table " << got << ", expression "
+                              << want;
+            return got == want;
+        };
+        const std::vector<uint64_t> &cuts = draw.table.cuts();
+        const size_t count = cuts.size() - 1;
+        std::vector<uint64_t> sample;
+        for (size_t i = 1; i < count; i += std::max<size_t>(1, count / 256))
+            sample.push_back(cuts[i]);
+        sample.push_back(cuts[count]);
+        uint64_t unchecked = 0; // windows of close cuts overlap
+        for (uint64_t cut : sample) {
+            for (uint64_t edge : {cut - std::min(cut, kBand), cut + kBand})
+                for (uint64_t m = edge - std::min<uint64_t>(edge, 2);
+                     m <= edge + 2; ++m)
+                    if (!same(m))
+                        return;
+            const uint64_t end = std::min(kGrid, cut + kWindow + 1);
+            for (uint64_t m = std::max(unchecked,
+                                       cut - std::min(cut, kWindow));
+                 m < end; ++m)
+                if (!same(m))
+                    return;
+            unchecked = std::max(unchecked, end);
+        }
+        for (uint64_t i = 0; i < random_points / draws.size(); ++i)
+            if (!same(rng.next() >> 11))
+                return;
+    }
+}
+
+TEST(InverseTableTest, OffSuiteTablesAreTheirExpressions)
+{
+    std::vector<TabledDraw> draws;
+    // p near 1, and a p so small that its draw passes the threshold
+    // bound long before the cap.
+    draws.push_back(geometricDraw(0.999, 255));
+    draws.push_back(geometricDraw(1.0 - 0x1p-52, 255));
+    draws.push_back(geometricDraw(1e-4, UINT64_MAX));
+    // Below, at and above s = 1 (the exp branch); one block; more
+    // blocks than the bound tabulates; an s so close to 1 that pow's
+    // argument is too coarse for the band, so nothing is tabulated.
+    draws.push_back(zipfDraw(1000, 0.5));
+    draws.push_back(zipfDraw(1000, 1.0));
+    draws.push_back(zipfDraw(1000, 2.5));
+    draws.push_back(zipfDraw(1, 1.2));
+    draws.push_back(zipfDraw(10000, 1.2));
+    draws.push_back(zipfDraw(4, 1.001));
+
+    EXPECT_EQ(draws[2].table.cuts().size(),
+              InverseTable::kMaxThresholds + 1);
+    EXPECT_EQ(draws[7].table.cuts().size(),
+              InverseTable::kMaxThresholds + 1);
+    EXPECT_EQ(draws[6].table.cuts(),
+              (std::vector<uint64_t>{0, uint64_t{1} << 53}));
+    EXPECT_EQ(draws[8].table.cuts(), std::vector<uint64_t>{0});
+    expectTablesAreExpressions(draws, 1000000);
+}
+
+TEST(InverseTableTest, SuiteDependencyDistanceTablesAreTheirExpressions)
+{
+    // Both distances of every phase of every profile, with the cap
+    // InstructionStream gives them; each distinct (p, cap) once.
+    std::set<std::pair<double, uint64_t>> seen;
+    std::vector<TabledDraw> draws;
+    for (const trace::AppProfile &app : trace::workloadSuite()) {
+        for (const trace::IlpPhase &phase : app.ilp.phases) {
+            const uint64_t floor =
+                std::max<uint32_t>(1, phase.min_dep_distance);
+            for (double mean :
+                 {phase.mean_dep_distance, phase.mean_dep_distance2}) {
+                const double p = 1.0 / std::max(1.0, mean);
+                const uint64_t cap = ooo::kMaxDepDistance - floor;
+                if (p < 1.0 && seen.insert({p, cap}).second)
+                    draws.push_back(geometricDraw(p, cap));
+            }
+        }
+    }
+    ASSERT_FALSE(draws.empty());
+    expectTablesAreExpressions(draws, 1000000);
+}
+
+TEST(InverseTableTest, SuiteZipfTablesAreTheirExpressions)
+{
+    // Every ZipfResident with s > 0 of every profile and of the phased
+    // demo, over its region's blocks; each distinct (n, s) once.
+    std::vector<trace::AppProfile> apps = trace::workloadSuite();
+    apps.push_back(trace::phasedCacheDemo());
+    std::set<std::pair<uint64_t, double>> seen;
+    std::vector<TabledDraw> draws;
+    for (const trace::AppProfile &app : apps) {
+        std::vector<trace::PatternSpec> specs = app.cache.mix;
+        for (const trace::CachePhase &phase : app.cache.phases)
+            specs.insert(specs.end(), phase.mix.begin(), phase.mix.end());
+        for (const trace::PatternSpec &spec : specs) {
+            const uint64_t n = spec.region_bytes / trace::kBlockBytes;
+            if (spec.kind == trace::PatternKind::ZipfResident &&
+                spec.zipf_s > 0.0 && seen.insert({n, spec.zipf_s}).second)
+                draws.push_back(zipfDraw(n, spec.zipf_s));
+        }
+    }
+    ASSERT_FALSE(draws.empty());
+    expectTablesAreExpressions(draws, 1000000);
+}
+
 
 // ---------------------------------------------------------------------
 // TableWriter / Cell
