@@ -1,10 +1,14 @@
 #include "job.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "core/experiment.h"
 #include "sample/study.h"
@@ -35,6 +39,22 @@ JobSpec::label() const
 }
 
 namespace {
+
+/** False with @p error naming the first member of @p object that is
+ *  not one of @p keys. */
+bool
+onlyKeys(const json::Value &object,
+         std::initializer_list<std::string_view> keys, const char *what,
+         std::string &error)
+{
+    for (const auto &[name, member] : object.object) {
+        if (std::find(keys.begin(), keys.end(), name) == keys.end()) {
+            error = std::string("unknown ") + what + " key \"" + name + "\"";
+            return false;
+        }
+    }
+    return true;
+}
 
 /** json::Value::readU64() into a non-negative int field. */
 bool
@@ -120,6 +140,15 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
         error = "job must be an object";
         return false;
     }
+    // A misspelt key must not fall back to a default silently.  The
+    // retired "one_pass" key is still accepted, and ignored.
+    if (!onlyKeys(job,
+                  {"kind", "apps", "sampled", "refs", "instrs",
+                   "deadline_ms", "mem", "sample", "entries", "interval",
+                   "probe_period", "confidence", "probe_max",
+                   "phase_threshold", "trigger", "one_pass"},
+                  "job", error))
+        return false;
     std::string kind = job.stringOr("kind");
     if (kind == "cache-sweep") {
         spec.kind = JobKind::CacheSweep;
@@ -172,6 +201,10 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
             error = "\"sample\" must be an object";
             return false;
         }
+        if (!onlyKeys(*sample,
+                      {"clusters", "interval", "warmup", "cold_prefix"},
+                      "sample", error))
+            return false;
         uint64_t clusters = spec.sample.clusters;
         if (!sample->readU64("clusters", clusters, error) ||
             !sample->readU64("interval", spec.sample.interval_len,
@@ -236,11 +269,37 @@ jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
     return true;
 }
 
+namespace {
+
+/**
+ * hashAppProfile(@p app).  The suite's profiles never change, so the
+ * hashes of its own objects come from a table built on first use; any
+ * other object (a copy, a re-seeded variant) is hashed on the spot.
+ */
+uint64_t
+profileHash(const trace::AppProfile &app)
+{
+    const std::vector<trace::AppProfile> &suite = trace::workloadSuite();
+    static const std::vector<uint64_t> hashes = [&suite] {
+        std::vector<uint64_t> table;
+        for (const trace::AppProfile &profile : suite)
+            table.push_back(hashAppProfile(profile));
+        return table;
+    }();
+    for (size_t i = 0; i < suite.size(); ++i) {
+        if (&suite[i] == &app)
+            return hashes[i];
+    }
+    return hashAppProfile(app);
+}
+
+} // namespace
+
 uint64_t
 cellKey(const JobSpec &spec, const trace::AppProfile &app)
 {
     KeyBuilder key;
-    key.add("profile", hashAppProfile(app));
+    key.add("profile", profileHash(app));
     key.add("kind", std::string(jobKindName(spec.kind)));
     switch (spec.kind) {
     case JobKind::CacheSweep:
@@ -311,43 +370,89 @@ cellKey(const JobSpec &spec, const trace::AppProfile &app)
 
 namespace {
 
-bool
-bitsField(const json::Value &obj, const char *name, double &out)
+/**
+ * One forward scan over an encoded value that accepts only the text its
+ * encoder writes.  Each call consumes a fixed literal, or a literal and
+ * the value after it, and returns false at the first byte that differs.
+ * A value reads as the encoders write its type: an int bare
+ * (Writer::value(int64_t)), a uint64_t as a quoted decimal within
+ * json::parseU64's limits (1 to 20 digits, no overflow), and a double as
+ * its quoted bit pattern (json::doubleBits).
+ */
+class RowScanner
 {
-    const json::Value *v = obj.find(name);
-    return v && v->isString() && json::doubleFromBits(v->string, out);
-}
+  public:
+    explicit RowScanner(const std::string &text)
+        : pos_(text.data()), end_(text.data() + text.size())
+    {
+    }
 
-bool
-u64Field(const json::Value &obj, const char *name, uint64_t &out)
-{
-    const json::Value *v = obj.find(name);
-    return v && v->isString() && json::parseU64(v->string, out);
-}
+    bool
+    literal(std::string_view text)
+    {
+        if (!std::string_view(pos_, end_ - pos_).starts_with(text))
+            return false;
+        pos_ += text.size();
+        return true;
+    }
 
+    bool
+    field(std::string_view name, int &out)
+    {
+        if (!literal(name))
+            return false;
+        const auto [next, ec] = std::from_chars(pos_, end_, out);
+        pos_ = next;
+        return ec == std::errc();
+    }
+
+    bool
+    field(std::string_view name, uint64_t &out)
+    {
+        if (!literal(name) || !literal("\""))
+            return false;
+        const char *digits = pos_;
+        const auto [next, ec] = std::from_chars(digits, end_, out);
+        pos_ = next;
+        return ec == std::errc() && next - digits <= 20 && literal("\"");
+    }
+
+    bool
+    field(std::string_view name, double &out)
+    {
+        uint64_t bits = 0;
+        if (!field(name, bits))
+            return false;
+        std::memcpy(&out, &bits, sizeof(out));
+        return true;
+    }
+
+    bool atEnd() const { return pos_ == end_; }
+
+  private:
+    const char *pos_;
+    const char *end_;
+};
+
+/**
+ * Decode a row: @p head (`{"kind":"<kind>","cols":[`), then one or
+ * more columns, each read by @p scanCol through its closing brace,
+ * then `]}` and nothing after it.
+ */
+template <typename Col, typename ScanCol>
 bool
-intField(const json::Value &obj, const char *name, int &out)
+scanRow(const std::string &text, std::string_view head,
+        std::vector<Col> &row, ScanCol scanCol)
 {
-    const json::Value *v = obj.find(name);
-    if (!v || !v->isNumber())
+    RowScanner in(text);
+    if (!in.literal(head))
         return false;
-    out = static_cast<int>(v->number);
-    return true;
-}
-
-/** Parse {"kind": <kind>, "cols": [...]}; returns the cols array. */
-const json::Value *
-rowCols(const std::string &text, const char *kind)
-{
-    static thread_local json::Value parsed;
-    std::string error;
-    if (!json::parse(text, parsed, error) || !parsed.isObject())
-        return nullptr;
-    if (parsed.stringOr("kind") != kind)
-        return nullptr;
-    const json::Value *cols = parsed.find("cols");
-    return cols && cols->isArray() && !cols->array.empty() ? cols
-                                                          : nullptr;
+    row.clear();
+    do {
+        if (!scanCol(in, row.emplace_back()))
+            return false;
+    } while (in.literal(","));
+    return in.literal("]}") && in.atEnd();
 }
 
 void
@@ -364,16 +469,17 @@ writeCachePerf(json::Writer &w, const core::CachePerf &p)
         .endObject();
 }
 
+/** writeCachePerf's members, from the opening brace up to its close. */
 bool
-readCachePerf(const json::Value &col, core::CachePerf &p)
+scanCachePerf(RowScanner &in, core::CachePerf &p)
 {
-    return intField(col, "l1", p.l1_increments) &&
-           u64Field(col, "refs", p.refs) &&
-           u64Field(col, "instrs", p.instructions) &&
-           bitsField(col, "l1_miss", p.l1_miss_ratio) &&
-           bitsField(col, "global_miss", p.global_miss_ratio) &&
-           bitsField(col, "tpi_ns", p.tpi_ns) &&
-           bitsField(col, "tpi_miss_ns", p.tpi_miss_ns);
+    return in.field("{\"l1\":", p.l1_increments) &&
+           in.field(",\"refs\":", p.refs) &&
+           in.field(",\"instrs\":", p.instructions) &&
+           in.field(",\"l1_miss\":", p.l1_miss_ratio) &&
+           in.field(",\"global_miss\":", p.global_miss_ratio) &&
+           in.field(",\"tpi_ns\":", p.tpi_ns) &&
+           in.field(",\"tpi_miss_ns\":", p.tpi_miss_ns);
 }
 
 void
@@ -388,18 +494,15 @@ writeIqPerf(json::Writer &w, const core::IqPerf &p)
         .endObject();
 }
 
+/** writeIqPerf's members, from the opening brace up to its close. */
 bool
-readIqPerf(const json::Value &col, core::IqPerf &p)
+scanIqPerf(RowScanner &in, core::IqPerf &p)
 {
-    uint64_t cycles = 0;
-    if (!(intField(col, "entries", p.entries) &&
-          u64Field(col, "instrs", p.instructions) &&
-          u64Field(col, "cycles", cycles) &&
-          bitsField(col, "ipc", p.ipc) &&
-          bitsField(col, "tpi_ns", p.tpi_ns)))
-        return false;
-    p.cycles = cycles;
-    return true;
+    return in.field("{\"entries\":", p.entries) &&
+           in.field(",\"instrs\":", p.instructions) &&
+           in.field(",\"cycles\":", p.cycles) &&
+           in.field(",\"ipc\":", p.ipc) &&
+           in.field(",\"tpi_ns\":", p.tpi_ns);
 }
 
 } // namespace
@@ -420,17 +523,10 @@ encodeCacheRow(const std::vector<core::CachePerf> &row)
 bool
 decodeCacheRow(const std::string &text, std::vector<core::CachePerf> &row)
 {
-    const json::Value *cols = rowCols(text, "cache-row");
-    if (!cols)
-        return false;
-    row.clear();
-    for (const json::Value &col : cols->array) {
-        core::CachePerf p;
-        if (!readCachePerf(col, p))
-            return false;
-        row.push_back(p);
-    }
-    return true;
+    return scanRow(text, "{\"kind\":\"cache-row\",\"cols\":[", row,
+                   [](RowScanner &in, core::CachePerf &p) {
+                       return scanCachePerf(in, p) && in.literal("}");
+                   });
 }
 
 std::string
@@ -464,20 +560,14 @@ bool
 decodeSampledCacheRow(const std::string &text,
                       std::vector<sample::SampledCachePerf> &row)
 {
-    const json::Value *cols = rowCols(text, "sampled-cache-row");
-    if (!cols)
-        return false;
-    row.clear();
-    for (const json::Value &col : cols->array) {
-        sample::SampledCachePerf p;
-        if (!(readCachePerf(col, p.perf) &&
-              bitsField(col, "lo", p.tpi_lo_ns) &&
-              bitsField(col, "hi", p.tpi_hi_ns) &&
-              u64Field(col, "simulated", p.simulated_refs)))
-            return false;
-        row.push_back(p);
-    }
-    return true;
+    return scanRow(text, "{\"kind\":\"sampled-cache-row\",\"cols\":[", row,
+                   [](RowScanner &in, sample::SampledCachePerf &p) {
+                       return scanCachePerf(in, p.perf) &&
+                              in.field(",\"lo\":", p.tpi_lo_ns) &&
+                              in.field(",\"hi\":", p.tpi_hi_ns) &&
+                              in.field(",\"simulated\":", p.simulated_refs) &&
+                              in.literal("}");
+                   });
 }
 
 std::string
@@ -495,17 +585,10 @@ encodeIqRow(const std::vector<core::IqPerf> &row)
 bool
 decodeIqRow(const std::string &text, std::vector<core::IqPerf> &row)
 {
-    const json::Value *cols = rowCols(text, "iq-row");
-    if (!cols)
-        return false;
-    row.clear();
-    for (const json::Value &col : cols->array) {
-        core::IqPerf p;
-        if (!readIqPerf(col, p))
-            return false;
-        row.push_back(p);
-    }
-    return true;
+    return scanRow(text, "{\"kind\":\"iq-row\",\"cols\":[", row,
+                   [](RowScanner &in, core::IqPerf &p) {
+                       return scanIqPerf(in, p) && in.literal("}");
+                   });
 }
 
 std::string
@@ -536,20 +619,15 @@ bool
 decodeSampledIqRow(const std::string &text,
                    std::vector<sample::SampledIqPerf> &row)
 {
-    const json::Value *cols = rowCols(text, "sampled-iq-row");
-    if (!cols)
-        return false;
-    row.clear();
-    for (const json::Value &col : cols->array) {
-        sample::SampledIqPerf p;
-        if (!(readIqPerf(col, p.perf) &&
-              bitsField(col, "lo", p.tpi_lo_ns) &&
-              bitsField(col, "hi", p.tpi_hi_ns) &&
-              u64Field(col, "simulated", p.simulated_instrs)))
-            return false;
-        row.push_back(p);
-    }
-    return true;
+    return scanRow(text, "{\"kind\":\"sampled-iq-row\",\"cols\":[", row,
+                   [](RowScanner &in, sample::SampledIqPerf &p) {
+                       return scanIqPerf(in, p.perf) &&
+                              in.field(",\"lo\":", p.tpi_lo_ns) &&
+                              in.field(",\"hi\":", p.tpi_hi_ns) &&
+                              in.field(",\"simulated\":",
+                                       p.simulated_instrs) &&
+                              in.literal("}");
+                   });
 }
 
 std::string
@@ -575,19 +653,17 @@ encodeIntervalSummary(const IntervalSummary &summary)
 bool
 decodeIntervalSummary(const std::string &text, IntervalSummary &summary)
 {
-    json::Value parsed;
-    std::string error;
-    if (!json::parse(text, parsed, error) || !parsed.isObject() ||
-        parsed.stringOr("kind") != "interval-summary")
-        return false;
-    return u64Field(parsed, "instrs", summary.instructions) &&
-           u64Field(parsed, "intervals", summary.intervals) &&
-           bitsField(parsed, "total_ns", summary.total_time_ns) &&
-           intField(parsed, "reconfigs", summary.reconfigurations) &&
-           intField(parsed, "committed", summary.committed_moves) &&
-           intField(parsed, "transitions", summary.phase_transitions) &&
-           intField(parsed, "snaps", summary.phase_snaps) &&
-           intField(parsed, "final", summary.final_config);
+    RowScanner in(text);
+    return in.field("{\"kind\":\"interval-summary\",\"instrs\":",
+                    summary.instructions) &&
+           in.field(",\"intervals\":", summary.intervals) &&
+           in.field(",\"total_ns\":", summary.total_time_ns) &&
+           in.field(",\"reconfigs\":", summary.reconfigurations) &&
+           in.field(",\"committed\":", summary.committed_moves) &&
+           in.field(",\"transitions\":", summary.phase_transitions) &&
+           in.field(",\"snaps\":", summary.phase_snaps) &&
+           in.field(",\"final\":", summary.final_config) &&
+           in.literal("}") && in.atEnd();
 }
 
 // ---------------------------------------------------------------------

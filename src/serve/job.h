@@ -18,7 +18,10 @@
  * Row values are canonical JSON with every 64-bit field (and every
  * double, as its bit pattern) serialized as a decimal string, so a
  * row survives the cache -> spill -> reload -> render round trip
- * bit-exactly.
+ * bit-exactly.  A decoder reads exactly the text its encoder writes,
+ * in one forward scan; any other text (reordered members, whitespace,
+ * a fractional or out-of-range number, trailing bytes) decodes false,
+ * which the executor treats as a miss and re-simulates.
  */
 
 #ifndef CAPSIM_SERVE_JOB_H
@@ -77,8 +80,9 @@ struct JobSpec
 /**
  * Parse and validate a job object (field defaults mirror the offline
  * verbs, so an empty job body reproduces the offline defaults).
- * Returns false with @p error set for unknown kinds, unknown
- * applications, or out-of-range controller parameters.
+ * Returns false with @p error set for unknown kinds, unknown keys (in
+ * the job or its "sample" object), unknown applications, or
+ * out-of-range controller parameters.
  */
 bool jobFromJson(const json::Value &job, JobSpec &spec,
                  std::string &error);
@@ -88,6 +92,9 @@ bool jobFromJson(const json::Value &job, JobSpec &spec,
  * study kind, run length, configuration vector, and sampling knobs
  * when sampled, plus the memory config under dram.  The worker
  * count is excluded: results are bit-identical for every `jobs`.
+ * The profile hash of a trace::workloadSuite() element comes from a
+ * table built on first use; any other profile object is hashed on the
+ * spot, so a copy keys like the suite object it copies.
  */
 uint64_t cellKey(const JobSpec &spec, const trace::AppProfile &app);
 

@@ -1,5 +1,6 @@
 #include "patterns.h"
 
+#include <cmath>
 #include <numeric>
 
 #include "util/status.h"
@@ -15,7 +16,9 @@ ZipfResident::ZipfResident(Region region, uint64_t block_bytes, double s,
     capAssert(n > 0, "ZipfResident region smaller than one block");
     capAssert(n <= UINT32_MAX, "region too large for shuffle table");
     zipf_norm_ = Rng::zipfNorm(n, s);
-    if (s > 0.0)
+    // At s = 1 (Rng::zipfAt's own test) the plain draw inverts with one
+    // exp(), which costs less inside the trace than a table draw.
+    if (s > 0.0 && std::abs(s - 1.0) >= 1e-9)
         ranks_ = InverseTable::zipf(n, s);
     shuffle_.resize(n);
     std::iota(shuffle_.begin(), shuffle_.end(), 0);

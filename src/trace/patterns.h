@@ -103,8 +103,9 @@ class ZipfResident : public Pattern
     double s_;
     /** Rng::zipfNorm over the region's blocks, fixed per pattern. */
     double zipf_norm_;
-    /** Rng::zipf over the region's blocks for s > 0; s <= 0 draws a
-     *  uniform block through Rng::zipf itself. */
+    /** Rng::zipf over the region's blocks for s > 0 other than 1;
+     *  s <= 0 (a uniform block) and s = 1 (one exp()) draw through
+     *  Rng::zipf itself. */
     std::optional<InverseTable> ranks_;
     std::vector<uint32_t> shuffle_;
 };

@@ -8,6 +8,7 @@
  */
 
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -224,6 +225,48 @@ TEST(ServeKeyTest, CellKeySensitivities)
     EXPECT_NE(base, serve::cellKey(spec, trace::findApp("gcc")));
 }
 
+TEST(ServeKeyTest, CellKeysArePinned)
+{
+    // A spill written by an earlier build must keep hitting, so these
+    // keys change only with a deliberate re-key of every cell.
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"refs\":40000}",
+         8428106343516725861ull},
+        {"{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"refs\":40000,"
+         "\"mem\":\"dram:banks=2,mshr=2,policy=closed\"}",
+         9720009215378747069ull},
+        {"{\"kind\":\"iq-sweep\",\"apps\":\"gcc\",\"instrs\":30000}",
+         9074537465805744186ull},
+        {"{\"kind\":\"cache-sweep\",\"apps\":\"vortex\",\"refs\":40000,"
+         "\"sampled\":true,\"sample\":{\"clusters\":4,\"interval\":500,"
+         "\"warmup\":1000}}",
+         2064107442880329576ull},
+        {"{\"kind\":\"interval-run\",\"apps\":\"li\",\"instrs\":200000,"
+         "\"trigger\":\"hybrid\"}",
+         12668109712543622561ull},
+    };
+    for (const auto &[job, key] : pinned) {
+        serve::JobSpec spec = specFromJson(job);
+        const trace::AppProfile &app = trace::findApp(spec.apps[0]);
+        EXPECT_EQ(serve::cellKey(spec, app), key) << job;
+        // A copy lives at another address, so its profile is hashed on
+        // the spot rather than read from the suite's table: same key.
+        // A mutated copy is another workload.
+        trace::AppProfile copy = app;
+        EXPECT_EQ(serve::cellKey(spec, copy), key) << job;
+        copy.seed += 1;
+        EXPECT_NE(serve::cellKey(spec, copy), key) << job;
+    }
+
+    // The table agrees with the on-the-spot hash for every suite entry.
+    serve::JobSpec spec = specFromJson(pinned[2].first);
+    for (const trace::AppProfile &app : trace::workloadSuite()) {
+        trace::AppProfile copy = app;
+        EXPECT_EQ(serve::cellKey(spec, copy), serve::cellKey(spec, app))
+            << app.name;
+    }
+}
+
 // ---------------------------------------------------------------------
 // ResultCache
 // ---------------------------------------------------------------------
@@ -399,6 +442,242 @@ TEST(ServeCodecTest, IntervalSummaryRoundTrips)
     EXPECT_EQ(back.phase_snaps, 1);
 }
 
+double
+fromBits(uint64_t bits)
+{
+    double x;
+    std::memcpy(&x, &bits, sizeof(x));
+    return x;
+}
+
+/** A value of each kind whose every field is an edge: UINT64_MAX
+ *  counts, a NaN with a payload, -0.0, a denormal, a negative int. */
+struct EdgeValues
+{
+    static constexpr uint64_t kMax = UINT64_MAX;
+    const double nan = fromBits(0x7ff80000deadbeefull);
+    const double denormal = fromBits(1);
+
+    std::vector<core::CachePerf>
+    cache() const
+    {
+        std::vector<core::CachePerf> row(2);
+        row[0] = {-3, kMax, kMax, nan, -0.0, denormal, -1e308};
+        row[1] = {INT_MIN, 0, 1, -0.0, nan, 0.0, denormal};
+        return row;
+    }
+
+    std::vector<core::IqPerf>
+    iq() const
+    {
+        std::vector<core::IqPerf> row(2);
+        row[0] = {-16, kMax, kMax, nan, -0.0};
+        row[1] = {INT_MAX, 0, 7, denormal, nan};
+        return row;
+    }
+
+    std::vector<sample::SampledCachePerf>
+    sampledCache() const
+    {
+        std::vector<sample::SampledCachePerf> row;
+        for (const core::CachePerf &perf : cache())
+            row.push_back({perf, nan, denormal, kMax});
+        return row;
+    }
+
+    std::vector<sample::SampledIqPerf>
+    sampledIq() const
+    {
+        std::vector<sample::SampledIqPerf> row;
+        for (const core::IqPerf &perf : iq())
+            row.push_back({perf, -0.0, nan, kMax});
+        return row;
+    }
+
+    /** One double per summary, so one summary for each edge double. */
+    std::vector<serve::IntervalSummary>
+    summaries() const
+    {
+        return {{kMax, kMax, nan, -1, INT_MIN, INT_MAX, -5, -48},
+                {0, kMax, -0.0, 0, 0, 0, 0, 16},
+                {kMax, 0, denormal, INT_MAX, -1, -1, INT_MIN, 128}};
+    }
+};
+
+TEST(ServeCodecTest, EveryKindRoundTripsEdgeValuesBitForBit)
+{
+    // Every field is written as its exact bits (a decimal count, a
+    // double's bit pattern, a bare int), so re-encoding the decoded
+    // value reproduces the text only when every field came back bit
+    // for bit.
+    const EdgeValues edge;
+    const std::string cache = serve::encodeCacheRow(edge.cache());
+    std::vector<core::CachePerf> cache_back;
+    ASSERT_TRUE(serve::decodeCacheRow(cache, cache_back));
+    EXPECT_EQ(serve::encodeCacheRow(cache_back), cache);
+    EXPECT_EQ(cache_back[0].refs, UINT64_MAX);
+    EXPECT_EQ(cache_back[1].l1_increments, INT_MIN);
+    EXPECT_EQ(std::memcmp(&cache_back[0].l1_miss_ratio, &edge.nan, 8), 0);
+
+    const std::string sampled_cache =
+        serve::encodeSampledCacheRow(edge.sampledCache());
+    std::vector<sample::SampledCachePerf> sampled_cache_back;
+    ASSERT_TRUE(
+        serve::decodeSampledCacheRow(sampled_cache, sampled_cache_back));
+    EXPECT_EQ(serve::encodeSampledCacheRow(sampled_cache_back),
+              sampled_cache);
+
+    const std::string iq = serve::encodeIqRow(edge.iq());
+    std::vector<core::IqPerf> iq_back;
+    ASSERT_TRUE(serve::decodeIqRow(iq, iq_back));
+    EXPECT_EQ(serve::encodeIqRow(iq_back), iq);
+    EXPECT_EQ(iq_back[0].entries, -16);
+    EXPECT_EQ(iq_back[0].cycles, UINT64_MAX);
+
+    const std::string sampled_iq =
+        serve::encodeSampledIqRow(edge.sampledIq());
+    std::vector<sample::SampledIqPerf> sampled_iq_back;
+    ASSERT_TRUE(serve::decodeSampledIqRow(sampled_iq, sampled_iq_back));
+    EXPECT_EQ(serve::encodeSampledIqRow(sampled_iq_back), sampled_iq);
+
+    for (const serve::IntervalSummary &summary : edge.summaries()) {
+        const std::string text = serve::encodeIntervalSummary(summary);
+        serve::IntervalSummary back;
+        ASSERT_TRUE(serve::decodeIntervalSummary(text, back));
+        EXPECT_EQ(serve::encodeIntervalSummary(back), text);
+        EXPECT_EQ(back.final_config, summary.final_config);
+    }
+}
+
+/** @p text with the value of its first @p key member replaced. */
+std::string
+withValue(std::string text, const std::string &key,
+          const std::string &value)
+{
+    const std::string member = "\"" + key + "\":";
+    const size_t start = text.find(member);
+    EXPECT_NE(start, std::string::npos) << key;
+    const size_t from = start + member.size();
+    const size_t to = text.find_first_of(",}", from);
+    return text.replace(from, to - from, value);
+}
+
+TEST(ServeCodecTest, DecodersAcceptOnlyTheEncodersText)
+{
+    // A stored value that is not its encoder's exact text decodes
+    // false -- a miss that re-simulates -- never a row served with a
+    // truncated, defaulted or misread field.
+    struct Kind
+    {
+        std::string text;
+        std::function<bool(const std::string &)> decodes;
+        std::string int_key; ///< a member written as a bare int
+        std::string u64_key; ///< a member written as a quoted count
+        std::string empty;   ///< the row with no columns ("" if none)
+    };
+    auto decoder = [](auto decode, auto value) {
+        return [decode, value](const std::string &text) mutable {
+            return decode(text, value);
+        };
+    };
+    const EdgeValues edge;
+    const std::vector<Kind> kinds = {
+        {serve::encodeCacheRow(edge.cache()),
+         decoder(serve::decodeCacheRow, std::vector<core::CachePerf>{}),
+         "l1", "refs", "{\"kind\":\"cache-row\",\"cols\":[]}"},
+        {serve::encodeSampledCacheRow(edge.sampledCache()),
+         decoder(serve::decodeSampledCacheRow,
+                 std::vector<sample::SampledCachePerf>{}),
+         "l1", "simulated", "{\"kind\":\"sampled-cache-row\",\"cols\":[]}"},
+        {serve::encodeIqRow(edge.iq()),
+         decoder(serve::decodeIqRow, std::vector<core::IqPerf>{}),
+         "entries", "cycles", "{\"kind\":\"iq-row\",\"cols\":[]}"},
+        {serve::encodeSampledIqRow(edge.sampledIq()),
+         decoder(serve::decodeSampledIqRow,
+                 std::vector<sample::SampledIqPerf>{}),
+         "entries", "simulated", "{\"kind\":\"sampled-iq-row\",\"cols\":[]}"},
+        {serve::encodeIntervalSummary(edge.summaries()[0]),
+         decoder(serve::decodeIntervalSummary, serve::IntervalSummary{}),
+         "reconfigs", "intervals", ""},
+    };
+    for (const Kind &kind : kinds) {
+        const std::string &text = kind.text;
+        SCOPED_TRACE(text);
+        ASSERT_TRUE(kind.decodes(text));
+
+        // Members reordered: "kind" moved from first to last.
+        const size_t kind_end = text.find(',');
+        std::string reordered = "{";
+        reordered.append(text, kind_end + 1, text.size() - kind_end - 2);
+        reordered += ',';
+        reordered.append(text, 1, kind_end - 1);
+        reordered += '}';
+        EXPECT_FALSE(kind.decodes(reordered)) << reordered;
+
+        // Whitespace, after a colon or a comma or at the end.
+        for (char after : {':', ','}) {
+            const size_t at = text.find(after) + 1;
+            std::string spaced = text.substr(0, at);
+            spaced += ' ';
+            spaced.append(text, at);
+            EXPECT_FALSE(kind.decodes(spaced)) << spaced;
+        }
+        EXPECT_FALSE(kind.decodes(text + " "));
+        EXPECT_FALSE(kind.decodes(text + "\n"));
+        // Trailing bytes.
+        EXPECT_FALSE(kind.decodes(text + "}"));
+        EXPECT_FALSE(kind.decodes(text + text));
+
+        // A count of 21 digits (in range, with leading zeros), one past
+        // UINT64_MAX, signed, empty, fractional or unquoted.
+        for (const char *count :
+             {"\"000000000000000000001\"", "\"18446744073709551616\"",
+              "\"-1\"", "\"+1\"", "\"\"", "\"1.0\"", "1"})
+            EXPECT_FALSE(kind.decodes(withValue(text, kind.u64_key, count)))
+                << count;
+        EXPECT_TRUE(kind.decodes(withValue(text, kind.u64_key, "\"7\"")));
+
+        // An int field must be an int: no fraction, exponent, overflow,
+        // quotes or plus sign.
+        for (const char *number :
+             {"2.5", "1e30", "2e0", "2147483648", "-2147483649", "\"2\"",
+              "+2", "-", ""})
+            EXPECT_FALSE(kind.decodes(withValue(text, kind.int_key, number)))
+                << number;
+        EXPECT_TRUE(kind.decodes(withValue(text, kind.int_key, "-2")));
+
+        // Truncated anywhere.
+        for (size_t cut = 0; cut < text.size(); ++cut)
+            EXPECT_FALSE(kind.decodes(text.substr(0, cut))) << cut;
+
+        if (!kind.empty.empty()) {
+            EXPECT_FALSE(kind.decodes(kind.empty));
+        }
+
+        // Another kind's value.
+        for (const Kind &other : kinds) {
+            if (&other != &kind) {
+                EXPECT_FALSE(kind.decodes(other.text)) << other.text;
+            }
+        }
+    }
+
+    // Reordered members inside a column.
+    std::vector<core::CachePerf> row;
+    EXPECT_FALSE(serve::decodeCacheRow(
+        "{\"kind\":\"cache-row\",\"cols\":[{\"refs\":\"1\",\"l1\":2,"
+        "\"instrs\":\"1\",\"l1_miss\":\"0\",\"global_miss\":\"0\","
+        "\"tpi_ns\":\"0\",\"tpi_miss_ns\":\"0\"}]}",
+        row));
+    EXPECT_TRUE(serve::decodeCacheRow(
+        "{\"kind\":\"cache-row\",\"cols\":[{\"l1\":2,\"refs\":\"1\","
+        "\"instrs\":\"1\",\"l1_miss\":\"0\",\"global_miss\":\"0\","
+        "\"tpi_ns\":\"0\",\"tpi_miss_ns\":\"0\"}]}",
+        row));
+    EXPECT_EQ(row.size(), 1u);
+    EXPECT_EQ(row[0].l1_increments, 2);
+}
+
 // ---------------------------------------------------------------------
 // Job parsing
 // ---------------------------------------------------------------------
@@ -463,6 +742,29 @@ TEST(ServeJobTest, ValidationErrors)
           "invalid interval-controller");
     fails("{\"kind\":\"interval-run\",\"apps\":\"li\",\"sampled\":true}",
           "no sampled mode");
+
+    // A key outside the grammar is an error naming it, never a silent
+    // default ("ref" would otherwise run the 150000-reference default).
+    fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"ref\":10000}",
+          "unknown job key \"ref\"");
+    fails("{\"kind\":\"interval-run\",\"apps\":\"li\","
+          "\"Trigger\":\"hybrid\"}",
+          "unknown job key \"Trigger\"");
+    fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"sampled\":true,"
+          "\"sample\":{\"clusters\":4,\"intervals\":500}}",
+          "unknown sample key \"intervals\"");
+
+    // Every key of the grammar is accepted, and so is the retired
+    // "one_pass", which is ignored.
+    serve::JobSpec spec = specFromJson(
+        "{\"kind\":\"interval-run\",\"apps\":\"li\",\"sampled\":false,"
+        "\"refs\":1000,\"instrs\":2000,\"deadline_ms\":0,\"mem\":\"flat\","
+        "\"sample\":{\"clusters\":4,\"interval\":500,\"warmup\":100,"
+        "\"cold_prefix\":0},\"entries\":48,\"interval\":1000,"
+        "\"probe_period\":4,\"confidence\":2,\"probe_max\":16,"
+        "\"phase_threshold\":0.25,\"trigger\":\"hybrid\","
+        "\"one_pass\":true}");
+    EXPECT_EQ(spec.entries, 48);
 }
 
 // ---------------------------------------------------------------------
@@ -510,6 +812,12 @@ TEST(ServeDifferentialTest, IqSweepBytesMatchOfflineAndJobsInvariant)
     serve::JobOutcome b = wide.run(spec, {}, {}, nullptr);
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(b.output, expected);
+
+    serve::JobOutcome warm = wide.run(spec, {}, {}, nullptr);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(warm.output, expected);
+    EXPECT_EQ(warm.cell_hits, warm.cells);
+    EXPECT_EQ(warm.cell_misses, 0u);
 }
 
 TEST(ServeDifferentialTest, SampledCacheSweepBytesMatchOffline)

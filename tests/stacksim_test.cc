@@ -300,11 +300,11 @@ TEST(BatchedTraceTest, SyntheticBatchMatchesNext)
 
 TEST(BatchedTraceTest, ZipfResidentMatchesPlainZipf)
 {
-    // ZipfResident draws its rank from an InverseTable when s > 0; a
-    // twin of it that draws Rng::zipf(n, s, norm) must see the same
-    // addresses and leave its generator in the same state, for every
-    // ZipfResident of every profile and of the phased demo (s == 0
-    // included, which keeps Rng::zipf's uniform draw).
+    // ZipfResident draws its rank from an InverseTable when s > 0 and
+    // s != 1; a twin of it that draws Rng::zipf(n, s, norm) must see the
+    // same addresses and leave its generator in the same state, for
+    // every ZipfResident of every profile and of the phased demo (s == 0
+    // and s == 1 included, which keep Rng::zipf's own draw).
     std::vector<trace::AppProfile> apps = trace::workloadSuite();
     apps.push_back(trace::phasedCacheDemo());
     for (const trace::AppProfile &app : apps) {
