@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -13,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "core/adaptive_cache.h"
 #include "core/adaptive_iq.h"
@@ -33,6 +32,7 @@
 #include "trace/file_trace.h"
 #include "trace/stream.h"
 #include "trace/workloads.h"
+#include "util/json.h"
 #include "util/parallel.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -46,21 +46,6 @@ Options::get(const std::string &key, const std::string &fallback) const
     return it == flags.end() ? fallback : it->second;
 }
 
-namespace {
-
-/** @p text as a decimal integer in [@p min, @p max], all of it. */
-bool
-parseU64(const std::string &text, uint64_t min, uint64_t max,
-         uint64_t &value)
-{
-    const char *last = text.data() + text.size();
-    auto [end, ec] = std::from_chars(text.data(), last, value);
-    return !text.empty() && ec == std::errc() && end == last &&
-           value >= min && value <= max;
-}
-
-} // namespace
-
 uint64_t
 Options::getU64(const std::string &key, uint64_t fallback, uint64_t min,
                 uint64_t max) const
@@ -69,7 +54,7 @@ Options::getU64(const std::string &key, uint64_t fallback, uint64_t min,
     if (it == flags.end())
         return fallback;
     uint64_t value = 0;
-    if (!parseU64(it->second, min, max, value))
+    if (!json::parseU64(it->second, value) || value < min || value > max)
         throw UsageError("--" + key + " must be an integer in [" +
                          std::to_string(min) + ", " + std::to_string(max) +
                          "], got '" + it->second + "'");
@@ -82,20 +67,21 @@ Options::getDouble(const std::string &key, double fallback) const
     auto it = flags.find(key);
     if (it == flags.end())
         return fallback;
-    const std::string &text = it->second;
-    const char *last = text.data() + text.size();
     double value = 0.0;
-    // from_chars takes no '+' but does take '-', "inf" and "nan"; a
-    // leading digit or point rules all three out.
-    auto [end, ec] = std::from_chars(text.data(), last, value);
-    if (text.empty() ||
-        !(std::isdigit(static_cast<unsigned char>(text[0])) ||
-          text[0] == '.') ||
-        ec != std::errc() || end != last)
+    if (!json::parseNumber(it->second, value))
         throw UsageError("--" + key +
                          " must be a finite unsigned number, got '" +
-                         text + "'");
+                         it->second + "'");
     return value;
+}
+
+void
+Options::only(const std::vector<std::string> &known) const
+{
+    for (const auto &[key, value] : flags) {
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            throw UsageError("unknown flag --" + key);
+    }
 }
 
 Options
@@ -132,10 +118,16 @@ cmdHelp(std::ostream &out)
            "\n"
            "usage: capsim <command> [options]\n"
            "\n"
+           "A study's flags are its job keys (docs/SERVER.md) with '-' for\n"
+           "'_' (--probe-period sets \"probe_period\"); an <app|all> takes\n"
+           "'all' or one or more names.  A flag a command does not read is\n"
+           "a usage error (exit 2).\n"
+           "\n"
            "commands:\n"
            "  apps                         list the 22-application suite\n"
            "  timing                       print the clock tables\n"
-           "  cache-sweep <app|all>        TPI vs L1/L2 boundary\n"
+           "  cache-sweep <app|all> [app ...]\n"
+           "                               TPI vs L1/L2 boundary\n"
            "      [--refs N]               references per run\n"
            "      [--jobs N]               worker threads (0 = all cores)\n"
            "      [--sample[=k,ivl[,wrm]]] estimate cells from cluster\n"
@@ -144,7 +136,8 @@ cmdHelp(std::ostream &out)
            "                               or dram[:k=v,..] -- banked\n"
            "                               DRAM + MSHRs (docs/MEMORY.md)\n"
            "      [--telemetry-json PATH]  write execution telemetry\n"
-           "  iq-sweep <app|all>           TPI vs instruction-queue size\n"
+           "  iq-sweep <app|all> [app ...]\n"
+           "                               TPI vs instruction-queue size\n"
            "      [--instrs N]             instructions per run\n"
            "      [--jobs N]               worker threads (0 = all cores)\n"
            "      [--sample[=k,ivl[,wrm]]] estimate cells from cluster\n"
@@ -155,13 +148,14 @@ cmdHelp(std::ostream &out)
            "  sample-profile <app>         cluster one app's intervals and\n"
            "                               print the sampling plan\n"
            "      [--study cache|iq]       which side to profile\n"
-           "      [--refs N | --instrs N]  run length\n"
+           "      [--refs N | --instrs N]  run length (cache | iq)\n"
            "      [--interval N] [--clusters K] [--warmup N]\n"
            "      [--cold-prefix N]        exact cold-start span (cache)\n"
-           "  sample-run <app|all>         sampled sweep, optionally\n"
+           "  sample-run <app|all> [app ...]\n"
+           "                               sampled sweep, optionally\n"
            "                               validated against the full run\n"
            "      [--study cache|iq]       which side to run\n"
-           "      [--refs N | --instrs N]  run length\n"
+           "      [--refs N | --instrs N]  run length (cache | iq)\n"
            "      [--interval N] [--clusters K] [--warmup N]\n"
            "      [--cold-prefix N]        exact cold-start span (cache)\n"
            "      [--jobs N]               worker threads (0 = all cores)\n"
@@ -292,25 +286,6 @@ cmdTiming(std::ostream &out)
     return 0;
 }
 
-std::vector<trace::AppProfile>
-selectApps(const std::string &which, bool cache_study, std::ostream &err,
-           bool &ok)
-{
-    ok = true;
-    if (which == "all") {
-        return cache_study ? trace::cacheStudyApps()
-                           : trace::iqStudyApps();
-    }
-    for (const trace::AppProfile &app : trace::workloadSuite()) {
-        if (app.name == which)
-            return {app};
-    }
-    err << "capsim: unknown application '" << which
-        << "' (try 'capsim apps')\n";
-    ok = false;
-    return {};
-}
-
 /** The --jobs flag of a study: absent/1 = serial, 0 = every hardware
  *  thread. */
 int
@@ -321,37 +296,94 @@ jobsFlag(const Options &options)
     return jobs == 0 ? defaultJobs() : jobs;
 }
 
-/** The --mem flag: "flat" (default) keeps the fixed-latency miss
- *  model; "dram[:k=v,..]" selects the banked DRAM + MSHR backend
- *  (docs/MEMORY.md).  Returns false (with a message) on a bad spec;
- *  @p config is untouched then. */
+/** --study: true for the cache side (the default), false for iq. */
 bool
-memFlag(const Options &options, mem::MemConfig &config, std::ostream &err)
+cacheSide(const Options &options)
 {
-    std::string spec = options.get("mem", "flat");
-    std::string error;
-    if (!mem::parseMemSpec(spec, config, error)) {
-        err << "capsim: " << error << "\n";
-        return false;
-    }
-    return true;
+    const std::string side = options.get("study", "cache");
+    if (side != "cache" && side != "iq")
+        throw UsageError("--study must be 'cache' or 'iq'");
+    return side == "cache";
 }
 
-/** Honour --telemetry-json: write telemetry to PATH when given. */
-int
-writeTelemetry(const Options &options,
-               const core::RunTelemetry &telemetry, std::ostream &err)
+/**
+ * The spec of study verb @p verb: its applications are the positional
+ * arguments in the job grammar ("all" or names), and its fields are
+ * read from their flags (serve::jobFromFlags).  Each verb names the
+ * fields it reads and the flags it reads itself; any other flag is a
+ * usage error naming it.
+ */
+serve::JobSpec
+studySpec(const std::string &verb, const Options &options)
 {
-    std::string path = options.get("telemetry-json");
-    if (path.empty())
-        return 0;
-    std::ofstream file(path);
-    if (!file) {
-        err << "capsim: cannot write telemetry to '" << path << "'\n";
-        return 2;
+    using serve::JobKind;
+    serve::JobSpec spec;
+    std::vector<std::string_view> keys;
+    // The observation flags (ObsSession).
+    std::vector<std::string> flags = {"trace", "chrome-trace",
+                                      "metrics-json", "host-profile",
+                                      "progress"};
+    if (verb == "cache-sweep" || verb == "iq-sweep") {
+        const bool cache = verb == "cache-sweep";
+        spec.kind = cache ? JobKind::CacheSweep : JobKind::IqSweep;
+        keys = {cache ? "refs" : "instrs", "sample", "mem"};
+        flags.insert(flags.end(), {"jobs", "telemetry-json"});
+    } else if (verb == "interval-run") {
+        spec.kind = JobKind::IntervalRun;
+        keys = {"instrs", "entries", "interval", "probe_period",
+                "confidence", "probe_max", "phase_threshold", "trigger",
+                "mem"};
+        flags.insert(flags.end(), {"compare-triggers", "telemetry-json"});
+    } else if (verb == "sample-profile" || verb == "sample-run") {
+        // --study picks a cache or an IQ study (and so what "all"
+        // expands to), run for 600000 references or 400000
+        // instructions unless --refs / --instrs say otherwise.
+        const bool cache = cacheSide(options);
+        spec.kind = cache ? JobKind::CacheSweep : JobKind::IqSweep;
+        spec.sampled = verb == "sample-run";
+        spec.refs = 600000;
+        spec.instrs = 400000;
+        keys = {cache ? "refs" : "instrs", "sample.interval",
+                "sample.clusters", "sample.warmup", "sample.cold_prefix",
+                "mem"};
+        flags.push_back("study");
+        if (spec.sampled)
+            flags.insert(flags.end(),
+                         {"jobs", "validate", "check", "mae-max", "oracle",
+                          "trace-file", "telemetry-json"});
+    } else {
+        throw UsageError("'" + verb + "' is not a study verb");
     }
-    telemetry.writeJson(file);
-    return 0;
+    for (std::string_view key : keys)
+        flags.push_back(serve::flagName(key));
+    options.only(flags);
+    if (options.positional.empty())
+        throw UsageError(verb + " needs an application");
+    spec.apps = options.positional;
+    std::string error;
+    if (!serve::jobFromFlags(options.flags, keys, spec, error))
+        throw UsageError(error);
+    return spec;
+}
+
+/** The suite profiles of @p spec's applications. */
+std::vector<trace::AppProfile>
+profilesOf(const serve::JobSpec &spec)
+{
+    std::vector<trace::AppProfile> apps;
+    for (const std::string &name : spec.apps)
+        apps.push_back(trace::findApp(name));
+    return apps;
+}
+
+/** The IQ-side verbs take --mem only for symmetry with the cache side. */
+void
+noteMemIgnored(const serve::JobSpec &spec, std::ostream &err)
+{
+    if (spec.mem.isDram())
+        err << "capsim: note: the IQ-side machine models no memory "
+               "hierarchy; --mem=dram is accepted but has no effect "
+               "here (docs/MEMORY.md)\n";
 }
 
 /**
@@ -367,6 +399,7 @@ writeTelemetry(const Options &options,
  *                         spans to PATH when given
  *   --progress[=PATH]     live heartbeats; bare/stderr = text lines
  *                         to stderr, PATH = JSONL events appended
+ * and the --telemetry-json PATH of the verbs that have telemetry.
  * With none of the flags given, hooks() is inert and the run pays
  * nothing for the instrumentation.  The host-profile and progress
  * sinks observe host time only, never simulated state, so results
@@ -376,6 +409,7 @@ struct ObsSession
 {
     obs::DecisionTrace trace;
     obs::CounterRegistry registry;
+    std::string telemetry_path;
     std::string jsonl_path;
     std::string chrome_path;
     std::string metrics_path;
@@ -413,6 +447,7 @@ ObsSession
 obsSessionFromFlags(const Options &options, std::ostream &err)
 {
     ObsSession session;
+    session.telemetry_path = options.get("telemetry-json");
     session.jsonl_path = options.get("trace");
     session.chrome_path = options.get("chrome-trace");
     if (session.chrome_path.empty() && !session.jsonl_path.empty())
@@ -473,266 +508,86 @@ int
 writeObsOutputs(ObsSession &session,
                 const core::RunTelemetry &telemetry, std::ostream &err)
 {
-    auto open = [&err](const std::string &path, std::ofstream &file) {
-        file.open(path);
-        if (!file)
+    const std::pair<const std::string &,
+                    std::function<void(std::ostream &)>>
+        sinks[] = {
+            {session.telemetry_path,
+             [&](std::ostream &os) { telemetry.writeJson(os); }},
+            {session.jsonl_path,
+             [&](std::ostream &os) { session.trace.writeJsonl(os); }},
+            {session.chrome_path,
+             [&](std::ostream &os) { session.trace.writeChromeTrace(os); }},
+            {session.metrics_path,
+             [&](std::ostream &os) {
+                 telemetry.writeJson(os, &session.registry);
+             }},
+        };
+    for (const auto &[path, write] : sinks) {
+        if (path.empty())
+            continue;
+        std::ofstream file(path);
+        if (!file) {
             err << "capsim: cannot write '" << path << "'\n";
-        return static_cast<bool>(file);
-    };
-    if (!session.jsonl_path.empty()) {
-        std::ofstream file;
-        if (!open(session.jsonl_path, file))
             return 2;
-        session.trace.writeJsonl(file);
-    }
-    if (!session.chrome_path.empty()) {
-        std::ofstream file;
-        if (!open(session.chrome_path, file))
-            return 2;
-        session.trace.writeChromeTrace(file);
-    }
-    if (!session.metrics_path.empty()) {
-        std::ofstream file;
-        if (!open(session.metrics_path, file))
-            return 2;
-        telemetry.writeJson(file, &session.registry);
+        }
+        write(file);
     }
     return writeHostProfile(session, err);
 }
 
-/**
- * The --sample flag of the sweep commands: absent leaves @p enabled
- * false; present (bare, or "k[,interval[,warmup]]") switches the sweep
- * to sampled mode with those knobs over the library defaults.  Use the
- * `--sample=...` form when the flag precedes a positional argument.
- */
-bool
-sampleFlag(const Options &options, sample::SampleParams &params,
-           std::ostream &err, bool &enabled)
+int
+cmdSweep(const std::string &verb, const Options &options,
+         std::ostream &out, std::ostream &err)
 {
-    enabled = options.flags.count("sample") > 0;
-    if (!enabled)
-        return true;
-    std::string spec = options.get("sample");
-    if (spec.empty())
-        return true;
-    std::vector<uint64_t> values;
-    size_t start = 0;
-    for (;;) {
-        size_t comma = spec.find(',', start);
-        std::string part =
-            comma == std::string::npos
-                ? spec.substr(start)
-                : spec.substr(start, comma - start);
-        uint64_t value = 0;
-        if (!parseU64(part, 1, UINT64_MAX, value)) {
-            err << "capsim: bad --sample spec '" << spec
-                << "' (want k[,interval[,warmup]]; use --sample=... "
-                   "when followed by an application)\n";
-            return false;
+    const serve::JobSpec spec = studySpec(verb, options);
+    const int jobs = jobsFlag(options);
+    const bool cache = spec.kind == serve::JobKind::CacheSweep;
+    if (!cache)
+        noteMemIgnored(spec, err);
+    ObsSession session = obsSessionFromFlags(options, err);
+    const std::vector<trace::AppProfile> apps = profilesOf(spec);
+    core::RunTelemetry telemetry;
+    if (cache) {
+        core::AdaptiveCacheModel model;
+        model.setMemConfig(spec.mem);
+        if (spec.sampled) {
+            sample::SampledCacheStudy study = sample::runSampledCacheStudy(
+                model, apps, spec.refs, spec.sample, 8, jobs,
+                session.hooks());
+            serve::renderSampledCacheSweep(out, spec.apps, study.perf,
+                                           spec.refs);
+            telemetry = std::move(study.telemetry);
+        } else {
+            core::CacheStudy study = core::runCacheStudy(
+                model, apps, spec.refs, 8, jobs, session.hooks());
+            serve::renderCacheSweep(out, spec.apps, study.perf, spec.refs);
+            telemetry = std::move(study.telemetry);
         }
-        values.push_back(value);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (values.size() > 3) {
-        err << "capsim: --sample takes at most k,interval,warmup\n";
-        return false;
-    }
-    params.clusters = static_cast<size_t>(values[0]);
-    if (values.size() > 1)
-        params.interval_len = values[1];
-    if (values.size() > 2)
-        params.warmup_len = values[2];
-    return true;
-}
-
-/** The sample-profile / sample-run knob flags over library defaults. */
-sample::SampleParams
-sampleParamsFromKnobs(const Options &options)
-{
-    sample::SampleParams params;
-    params.interval_len = options.getU64("interval", params.interval_len, 1);
-    params.clusters = static_cast<size_t>(
-        options.getU64("clusters", params.clusters, 1));
-    params.warmup_len = options.getU64("warmup", params.warmup_len);
-    params.cold_prefix_len =
-        options.getU64("cold-prefix", params.cold_prefix_len);
-    return params;
-}
-
-int
-cmdCacheSweep(const Options &options, std::ostream &out, std::ostream &err)
-{
-    if (options.positional.empty()) {
-        err << "capsim: cache-sweep needs an application (or 'all')\n";
-        return 2;
-    }
-    bool ok = false;
-    auto apps = selectApps(options.positional[0], true, err, ok);
-    if (!ok)
-        return 2;
-    uint64_t refs = options.getU64("refs", 150000, 1);
-    sample::SampleParams sparams;
-    bool sampled = false;
-    if (!sampleFlag(options, sparams, err, sampled))
-        return 2;
-    mem::MemConfig mem_config;
-    if (!memFlag(options, mem_config, err))
-        return 2;
-    const int jobs = jobsFlag(options);
-    if (sampled && mem_config.isDram()) {
-        err << "capsim: --sample supports --mem=flat only (sampled "
-               "reconstruction assumes a position-independent miss "
-               "cost)\n";
-        return 2;
-    }
-
-    ObsSession session = obsSessionFromFlags(options, err);
-    core::AdaptiveCacheModel model;
-    model.setMemConfig(mem_config);
-
-    std::vector<std::string> names;
-    for (const trace::AppProfile &app : apps)
-        names.push_back(app.name);
-
-    if (sampled) {
-        sample::SampledCacheStudy study = sample::runSampledCacheStudy(
-            model, apps, refs, sparams, 8, jobs, session.hooks());
-        serve::renderSampledCacheSweep(out, names, study.perf, refs);
-        if (int rc = writeTelemetry(options, study.telemetry, err))
-            return rc;
-        return writeObsOutputs(session, study.telemetry, err);
-    }
-
-    core::CacheStudy study = core::runCacheStudy(
-        model, apps, refs, 8, jobs, session.hooks());
-    serve::renderCacheSweep(out, names, study.perf, refs);
-    if (int rc = writeTelemetry(options, study.telemetry, err))
-        return rc;
-    return writeObsOutputs(session, study.telemetry, err);
-}
-
-int
-cmdIqSweep(const Options &options, std::ostream &out, std::ostream &err)
-{
-    if (options.positional.empty()) {
-        err << "capsim: iq-sweep needs an application (or 'all')\n";
-        return 2;
-    }
-    bool ok = false;
-    auto apps = selectApps(options.positional[0], false, err, ok);
-    if (!ok)
-        return 2;
-    uint64_t instrs = options.getU64("instrs", 120000, 1);
-    sample::SampleParams sparams;
-    bool sampled = false;
-    if (!sampleFlag(options, sparams, err, sampled))
-        return 2;
-    mem::MemConfig mem_config;
-    if (!memFlag(options, mem_config, err))
-        return 2;
-    const int jobs = jobsFlag(options);
-    if (mem_config.isDram()) {
-        err << "capsim: note: the IQ-side machine models no memory "
-               "hierarchy; --mem=dram is accepted but has no effect "
-               "here (docs/MEMORY.md)\n";
-    }
-
-    ObsSession session = obsSessionFromFlags(options, err);
-    core::AdaptiveIqModel model;
-
-    std::vector<std::string> names;
-    for (const trace::AppProfile &app : apps)
-        names.push_back(app.name);
-
-    if (sampled) {
+    } else if (spec.sampled) {
         sample::SampledIqStudy study = sample::runSampledIqStudy(
-            model, apps, instrs, sparams, jobs, session.hooks());
-        serve::renderSampledIqSweep(out, names, study.perf, instrs);
-        if (int rc = writeTelemetry(options, study.telemetry, err))
-            return rc;
-        return writeObsOutputs(session, study.telemetry, err);
+            core::AdaptiveIqModel(), apps, spec.instrs, spec.sample, jobs,
+            session.hooks());
+        serve::renderSampledIqSweep(out, spec.apps, study.perf,
+                                    spec.instrs);
+        telemetry = std::move(study.telemetry);
+    } else {
+        core::IqStudy study = core::runIqStudy(
+            core::AdaptiveIqModel(), apps, spec.instrs, jobs,
+            session.hooks());
+        serve::renderIqSweep(out, spec.apps, study.perf, spec.instrs);
+        telemetry = std::move(study.telemetry);
     }
-
-    core::IqStudy study =
-        core::runIqStudy(model, apps, instrs, jobs, session.hooks());
-    serve::renderIqSweep(out, names, study.perf, instrs);
-    if (int rc = writeTelemetry(options, study.telemetry, err))
-        return rc;
-    return writeObsOutputs(session, study.telemetry, err);
+    return writeObsOutputs(session, telemetry, err);
 }
 
 int
 cmdIntervalRun(const Options &options, std::ostream &out,
                std::ostream &err)
 {
-    if (options.positional.empty()) {
-        err << "capsim: interval-run needs an application\n";
-        return 2;
-    }
-    bool ok = false;
-    auto apps = selectApps(options.positional[0], false, err, ok);
-    if (!ok)
-        return 2;
-    if (apps.size() != 1) {
-        err << "capsim: interval-run needs a single application\n";
-        return 2;
-    }
-    uint64_t instrs = options.getU64("instrs", 120000, 1);
-    constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
-    int entries =
-        static_cast<int>(options.getU64("entries", 32, 0, kIntMax));
-
-    std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
-    if (std::find(sizes.begin(), sizes.end(), entries) == sizes.end()) {
-        err << "capsim: --entries " << entries
-            << " is not a study configuration\n";
-        return 2;
-    }
-
-    core::IntervalPolicyParams params;
-    params.interval_instrs =
-        options.getU64("interval", core::kIntervalInstructions);
-    params.probe_period = static_cast<int>(options.getU64(
-        "probe-period", static_cast<uint64_t>(params.probe_period),
-        0, kIntMax));
-    params.confidence_needed = static_cast<int>(options.getU64(
-        "confidence", static_cast<uint64_t>(params.confidence_needed),
-        0, kIntMax));
-    params.probe_period_max = static_cast<int>(options.getU64(
-        "probe-max", static_cast<uint64_t>(params.probe_period_max),
-        0, kIntMax));
-    params.phase_distance_threshold = options.getDouble(
-        "phase-threshold", params.phase_distance_threshold);
-    if (params.interval_instrs == 0 || params.probe_period < 2 ||
-        params.confidence_needed < 1 ||
-        params.probe_period_max < params.probe_period ||
-        params.phase_distance_threshold <= 0.0) {
-        err << "capsim: invalid interval-controller parameters\n";
-        return 2;
-    }
-    std::string trigger = options.get("trigger", "period");
-    if (trigger == "period") {
-        params.trigger = core::IntervalTrigger::Period;
-    } else if (trigger == "phase") {
-        params.trigger = core::IntervalTrigger::PhaseChange;
-    } else if (trigger == "hybrid") {
-        params.trigger = core::IntervalTrigger::Hybrid;
-    } else {
-        err << "capsim: --trigger must be period, phase, or hybrid\n";
-        return 2;
-    }
-    mem::MemConfig mem_config;
-    if (!memFlag(options, mem_config, err))
-        return 2;
-    if (mem_config.isDram()) {
-        err << "capsim: note: the IQ-side machine models no memory "
-               "hierarchy; --mem=dram is accepted but has no effect "
-               "here (docs/MEMORY.md)\n";
-    }
-
+    const serve::JobSpec spec = studySpec("interval-run", options);
+    noteMemIgnored(spec, err);
+    const trace::AppProfile &app = trace::findApp(spec.apps[0]);
+    const core::IntervalPolicyParams &params = spec.params;
     core::AdaptiveIqModel model;
 
     if (options.flags.count("compare-triggers")) {
@@ -743,7 +598,7 @@ cmdIntervalRun(const Options &options, std::ostream &out,
             core::IntervalPolicyParams p = params;
             p.trigger = t;
             core::IntervalAdaptiveIq controller(model, p);
-            return controller.run(apps[0], instrs, entries);
+            return controller.run(app, spec.instrs, spec.entries);
         };
         core::IntervalRunResult period =
             runMode(core::IntervalTrigger::Period);
@@ -752,12 +607,12 @@ cmdIntervalRun(const Options &options, std::ostream &out,
         core::IntervalRunResult hybrid =
             runMode(core::IntervalTrigger::Hybrid);
         core::IntervalRunResult oracle = core::runIntervalOracle(
-            model, apps[0], instrs, sizes, params.interval_instrs, true,
-            params.switch_penalty_cycles);
+            model, app, spec.instrs, core::AdaptiveIqModel::studySizes(),
+            params.interval_instrs, true, params.switch_penalty_cycles);
 
         double gap = period.tpi() - oracle.tpi();
-        TableWriter table("trigger comparison, " + apps[0].name + ", " +
-                          std::to_string(instrs) + " instructions");
+        TableWriter table("trigger comparison, " + app.name + ", " +
+                          std::to_string(spec.instrs) + " instructions");
         table.setHeader({"mode", "avg_tpi_ns", "total_us", "reconfigs",
                          "committed", "transitions", "snaps",
                          "gap_closed_%"});
@@ -783,17 +638,14 @@ cmdIntervalRun(const Options &options, std::ostream &out,
     ObsSession session = obsSessionFromFlags(options, err);
     core::IntervalAdaptiveIq controller(model, params);
     core::IntervalRunResult result =
-        controller.run(apps[0], instrs, entries, session.hooks());
+        controller.run(app, spec.instrs, spec.entries, session.hooks());
 
     serve::IntervalSummary summary =
-        serve::summarizeIntervalRun(result, entries);
-    serve::renderIntervalRun(out, apps[0].name, instrs,
+        serve::summarizeIntervalRun(result, spec.entries);
+    serve::renderIntervalRun(out, app.name, spec.instrs,
                              params.trigger !=
                                  core::IntervalTrigger::Period,
                              summary);
-
-    if (int rc = writeTelemetry(options, result.telemetry, err))
-        return rc;
     return writeObsOutputs(session, result.telemetry, err);
 }
 
@@ -805,14 +657,13 @@ cmdAnalyzeTrace(const Options &options, std::ostream &out,
         err << "capsim: analyze-trace needs a JSONL trace file\n";
         return 2;
     }
+    options.only({"app", "lane", "first", "last", "stride"});
     std::string app_filter = options.get("app");
     std::string lane_filter = options.get("lane");
     uint64_t first = options.getU64("first", 0);
     uint64_t last =
         options.getU64("last", std::numeric_limits<uint64_t>::max());
-    uint64_t stride = options.getU64("stride", 1);
-    if (stride == 0)
-        stride = 1;
+    uint64_t stride = options.getU64("stride", 1, 1);
 
     const std::string &path = options.positional[0];
     std::ifstream file(path);
@@ -918,109 +769,81 @@ cmdAnalyzeTrace(const Options &options, std::ostream &out,
     }
     lane_table.renderAscii(out);
 
-    // --- Figure 12/13-style per-interval series. ---
-    TableWriter intervals("Per-interval series (Figure 12/13 style)");
-    intervals.setHeader({"interval", "lane", "config", "retired", "ipc",
-                         "tpi_ns", "ewma_tpi_ns"});
-    for (const obs::TraceEvent &event : trace.events()) {
-        if (event.kind != obs::EventKind::Interval || !selected(event))
-            continue;
-        if (event.interval < first || event.interval > last ||
-            (event.interval - first) % stride != 0)
-            continue;
-        intervals.addRow(
-            {Cell(event.interval), Cell(event.lane), Cell(event.config),
-             Cell(event.retired), Cell(event.ipc, 3),
-             Cell(event.tpi_ns, 4),
-             event.ewma_tpi_ns < 0.0 ? Cell("-")
-                                     : Cell(event.ewma_tpi_ns, 4)});
-    }
-    intervals.renderAscii(out);
-
-    // --- Controller decisions, if the trace has any. ---
-    if (trace.countKind(obs::EventKind::Decision) > 0) {
-        TableWriter decisions("Controller decisions");
-        decisions.setHeader({"interval", "lane", "decision", "candidate",
-                             "chosen", "confidence", "ewma_home",
-                             "ewma_candidate"});
+    // --- One table per event kind: its selected events in the
+    // interval range, a row each.  The per-interval series (Figure
+    // 12/13 style, every stride-th interval) is always printed, the
+    // others only when the trace has such events; reconfigurations
+    // carry no interval.
+    auto eventTable = [&](obs::EventKind kind, const std::string &title,
+                          const std::vector<std::string> &header,
+                          auto row) {
+        const bool series = kind == obs::EventKind::Interval;
+        if (!series && trace.countKind(kind) == 0)
+            return;
+        TableWriter table(title);
+        table.setHeader(header);
         for (const obs::TraceEvent &event : trace.events()) {
-            if (event.kind != obs::EventKind::Decision ||
-                !selected(event))
-                continue;
-            if (event.interval < first || event.interval > last)
-                continue;
-            decisions.addRow(
-                {Cell(event.interval), Cell(event.lane),
-                 Cell(event.decision), Cell(event.candidate),
-                 Cell(event.chosen), Cell(event.confidence),
-                 event.ewma_home_tpi_ns < 0.0
-                     ? Cell("-")
-                     : Cell(event.ewma_home_tpi_ns, 4),
-                 event.ewma_candidate_tpi_ns < 0.0
-                     ? Cell("-")
-                     : Cell(event.ewma_candidate_tpi_ns, 4)});
+            const bool in_range =
+                kind == obs::EventKind::Reconfig ||
+                (event.interval >= first && event.interval <= last &&
+                 (!series || (event.interval - first) % stride == 0));
+            if (event.kind == kind && selected(event) && in_range)
+                table.addRow(row(event));
         }
-        decisions.renderAscii(out);
-    }
-
-    // --- Sampled representatives, if the trace has any. ---
-    if (trace.countKind(obs::EventKind::Representative) > 0) {
-        TableWriter reps("Sampled representatives");
-        reps.setHeader({"lane", "interval", "cluster", "weight",
-                        "warmup", "retired", "tpi_ns"});
-        for (const obs::TraceEvent &event : trace.events()) {
-            if (event.kind != obs::EventKind::Representative ||
-                !selected(event))
-                continue;
-            if (event.interval < first || event.interval > last)
-                continue;
-            reps.addRow({Cell(event.lane), Cell(event.interval),
-                         Cell(event.cluster), Cell(event.weight),
-                         Cell(event.warmup), Cell(event.retired),
-                         Cell(event.tpi_ns, 4)});
-        }
-        reps.renderAscii(out);
-    }
-
-    // --- Phase timeline, if the trace has phase transitions. ---
-    if (trace.countKind(obs::EventKind::Phase) > 0) {
-        TableWriter phases("Phase timeline (online detector)");
-        phases.setHeader({"interval", "lane", "at_us", "from", "to",
-                          "kind", "config"});
-        for (const obs::TraceEvent &event : trace.events()) {
-            if (event.kind != obs::EventKind::Phase || !selected(event))
-                continue;
-            if (event.interval < first || event.interval > last)
-                continue;
-            phases.addRow({Cell(event.interval), Cell(event.lane),
-                           Cell(event.start_ns / 1000.0, 3),
-                           event.from_config < 0
-                               ? Cell("-")
-                               : Cell(event.from_config),
-                           Cell(event.to_config), Cell(event.decision),
-                           Cell(event.config)});
-        }
-        phases.renderAscii(out);
-    }
-
-    // --- Reconfigurations, if any. ---
-    if (trace.countKind(obs::EventKind::Reconfig) > 0) {
-        TableWriter reconfigs("Reconfigurations");
-        reconfigs.setHeader({"lane", "at_us", "from", "to",
-                             "drain_cycles", "penalty_ns"});
-        for (const obs::TraceEvent &event : trace.events()) {
-            if (event.kind != obs::EventKind::Reconfig ||
-                !selected(event))
-                continue;
-            reconfigs.addRow({Cell(event.lane),
-                              Cell(event.start_ns / 1000.0, 3),
-                              Cell(event.from_config),
-                              Cell(event.to_config),
-                              Cell(event.drain_cycles),
-                              Cell(event.penalty_ns, 3)});
-        }
-        reconfigs.renderAscii(out);
-    }
+        table.renderAscii(out);
+    };
+    auto orDash = [](bool absent, const Cell &cell) {
+        return absent ? Cell("-") : cell;
+    };
+    eventTable(obs::EventKind::Interval,
+               "Per-interval series (Figure 12/13 style)",
+               {"interval", "lane", "config", "retired", "ipc", "tpi_ns",
+                "ewma_tpi_ns"},
+               [&](const obs::TraceEvent &e) -> std::vector<Cell> {
+                   return {Cell(e.interval), Cell(e.lane), Cell(e.config),
+                           Cell(e.retired), Cell(e.ipc, 3),
+                           Cell(e.tpi_ns, 4),
+                           orDash(e.ewma_tpi_ns < 0.0,
+                                  Cell(e.ewma_tpi_ns, 4))};
+               });
+    eventTable(obs::EventKind::Decision, "Controller decisions",
+               {"interval", "lane", "decision", "candidate", "chosen",
+                "confidence", "ewma_home", "ewma_candidate"},
+               [&](const obs::TraceEvent &e) -> std::vector<Cell> {
+                   return {Cell(e.interval), Cell(e.lane),
+                           Cell(e.decision), Cell(e.candidate),
+                           Cell(e.chosen), Cell(e.confidence),
+                           orDash(e.ewma_home_tpi_ns < 0.0,
+                                  Cell(e.ewma_home_tpi_ns, 4)),
+                           orDash(e.ewma_candidate_tpi_ns < 0.0,
+                                  Cell(e.ewma_candidate_tpi_ns, 4))};
+               });
+    eventTable(obs::EventKind::Representative, "Sampled representatives",
+               {"lane", "interval", "cluster", "weight", "warmup",
+                "retired", "tpi_ns"},
+               [](const obs::TraceEvent &e) -> std::vector<Cell> {
+                   return {Cell(e.lane), Cell(e.interval), Cell(e.cluster),
+                           Cell(e.weight), Cell(e.warmup), Cell(e.retired),
+                           Cell(e.tpi_ns, 4)};
+               });
+    eventTable(obs::EventKind::Phase, "Phase timeline (online detector)",
+               {"interval", "lane", "at_us", "from", "to", "kind",
+                "config"},
+               [&](const obs::TraceEvent &e) -> std::vector<Cell> {
+                   return {Cell(e.interval), Cell(e.lane),
+                           Cell(e.start_ns / 1000.0, 3),
+                           orDash(e.from_config < 0, Cell(e.from_config)),
+                           Cell(e.to_config), Cell(e.decision),
+                           Cell(e.config)};
+               });
+    eventTable(obs::EventKind::Reconfig, "Reconfigurations",
+               {"lane", "at_us", "from", "to", "drain_cycles",
+                "penalty_ns"},
+               [](const obs::TraceEvent &e) -> std::vector<Cell> {
+                   return {Cell(e.lane), Cell(e.start_ns / 1000.0, 3),
+                           Cell(e.from_config), Cell(e.to_config),
+                           Cell(e.drain_cycles), Cell(e.penalty_ns, 3)};
+               });
     return 0;
 }
 
@@ -1062,27 +885,10 @@ int
 cmdSampleProfile(const Options &options, std::ostream &out,
                  std::ostream &err)
 {
-    if (options.positional.empty()) {
-        err << "capsim: sample-profile needs an application\n";
-        return 2;
-    }
-    std::string side = options.get("study", "cache");
-    if (side != "cache" && side != "iq") {
-        err << "capsim: --study must be 'cache' or 'iq'\n";
-        return 2;
-    }
-    bool ok = false;
-    auto apps = selectApps(options.positional[0], side == "cache", err, ok);
-    if (!ok || apps.size() != 1) {
-        if (ok)
-            err << "capsim: sample-profile needs a single application\n";
-        return 2;
-    }
-    sample::SampleParams params = sampleParamsFromKnobs(options);
-    mem::MemConfig mem_config;
-    if (!memFlag(options, mem_config, err))
-        return 2;
-    if (mem_config.isDram()) {
+    const serve::JobSpec spec = studySpec("sample-profile", options);
+    if (spec.apps.size() != 1)
+        throw UsageError("sample-profile needs a single application");
+    if (spec.mem.isDram()) {
         err << "capsim: note: the sampling plan depends only on the "
                "profile; --mem has no effect on sample-profile\n";
     }
@@ -1090,16 +896,16 @@ cmdSampleProfile(const Options &options, std::ostream &out,
     // sample-profile has no telemetry, so only that sink applies.
     ObsSession session = obsSessionFromFlags(options, err);
 
-    if (side == "cache") {
-        uint64_t refs = options.getU64("refs", 600000, 1);
+    const trace::AppProfile &app = trace::findApp(spec.apps[0]);
+    if (spec.kind == serve::JobKind::CacheSweep) {
         core::AdaptiveCacheModel model;
-        sample::CacheSampler sampler(model, apps[0], refs, params);
-        printSamplePlan(out, side, apps[0].name, refs, sampler.plan());
+        sample::CacheSampler sampler(model, app, spec.refs, spec.sample);
+        printSamplePlan(out, "cache", app.name, spec.refs,
+                        sampler.plan());
     } else {
-        uint64_t instrs = options.getU64("instrs", 400000, 1);
         core::AdaptiveIqModel model;
-        sample::IqSampler sampler(model, apps[0], instrs, params);
-        printSamplePlan(out, side, apps[0].name, instrs, sampler.plan());
+        sample::IqSampler sampler(model, app, spec.instrs, spec.sample);
+        printSamplePlan(out, "iq", app.name, spec.instrs, sampler.plan());
     }
     return writeHostProfile(session, err);
 }
@@ -1107,20 +913,14 @@ cmdSampleProfile(const Options &options, std::ostream &out,
 int
 cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
 {
-    if (options.positional.empty()) {
-        err << "capsim: sample-run needs an application (or 'all')\n";
-        return 2;
-    }
-    std::string side = options.get("study", "cache");
-    if (side != "cache" && side != "iq") {
-        err << "capsim: --study must be 'cache' or 'iq'\n";
-        return 2;
-    }
-    bool ok = false;
-    auto apps = selectApps(options.positional[0], side == "cache", err, ok);
-    if (!ok)
-        return 2;
-    sample::SampleParams params = sampleParamsFromKnobs(options);
+    // The cache side's dram check is the sampled cache sweep's.
+    const serve::JobSpec spec = studySpec("sample-run", options);
+    const std::string side =
+        spec.kind == serve::JobKind::CacheSweep ? "cache" : "iq";
+    const std::vector<trace::AppProfile> apps = profilesOf(spec);
+    const sample::SampleParams &params = spec.sample;
+    const uint64_t refs = spec.refs;
+    const uint64_t instrs = spec.instrs;
     const int jobs = jobsFlag(options);
     bool validate = options.flags.count("validate") > 0;
     bool check = options.flags.count("check") > 0;
@@ -1129,20 +929,7 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
         err << "capsim: --check requires --validate\n";
         return 2;
     }
-    mem::MemConfig mem_config;
-    if (!memFlag(options, mem_config, err))
-        return 2;
-    if (mem_config.isDram()) {
-        if (side == "cache") {
-            err << "capsim: sample-run --study cache supports "
-                   "--mem=flat only (sampled reconstruction assumes "
-                   "a position-independent miss cost)\n";
-            return 2;
-        }
-        err << "capsim: note: the IQ-side machine models no memory "
-               "hierarchy; --mem=dram is accepted but has no effect "
-               "here (docs/MEMORY.md)\n";
-    }
+    noteMemIgnored(spec, err);
     ObsSession session = obsSessionFromFlags(options, err);
 
     std::string trace_file = options.get("trace-file");
@@ -1177,8 +964,6 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
             ct.config = "trace-file replay";
             ct.sim_seconds = file_telemetry.wall_seconds;
             ct.worker = 0;
-            if (int rc = writeTelemetry(options, file_telemetry, err))
-                return rc;
             return writeObsOutputs(session, file_telemetry, err);
         };
         if (side == "cache") {
@@ -1254,7 +1039,6 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
                    "application\n";
             return 2;
         }
-        uint64_t instrs = options.getU64("instrs", 400000, 1);
         core::AdaptiveIqModel model;
         core::IntervalRunResult result = sample::runSampledIntervalOracle(
             model, apps[0], instrs, core::AdaptiveIqModel::studySizes(),
@@ -1273,8 +1057,6 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
         table.addRow(
             {Cell("reconfigurations"), Cell(result.reconfigurations)});
         table.renderAscii(out);
-        if (int rc = writeTelemetry(options, result.telemetry, err))
-            return rc;
         return writeObsOutputs(session, result.telemetry, err);
     }
 
@@ -1290,104 +1072,83 @@ cmdSampleRun(const Options &options, std::ostream &out, std::ostream &err)
     int failures = 0;
     core::RunTelemetry telemetry;
 
-    auto report = [&](const std::string &app, const std::string &best,
-                      double tpi, double lo, double hi, double full_best,
-                      double mae, bool argmin_kept, double speedup) {
-        if (!validate) {
-            table.addRow({Cell(app), Cell(best), Cell(tpi, 3),
-                          Cell(lo, 3), Cell(hi, 3), Cell(speedup, 1)});
-            return;
+    // One row per application: the sampled study's best column, with
+    // --validate also its error against the @p full sweep.
+    auto report = [&](const auto &study, const auto &full, uint64_t length,
+                      auto simulated, auto label) {
+        telemetry = study.telemetry;
+        for (size_t a = 0; a < apps.size(); ++a) {
+            const auto &cols = study.perf[a];
+            const size_t best = study.selection.per_app_best[a];
+            double mae = 0.0;
+            uint64_t simulated_total = 0;
+            for (size_t c = 0; c < cols.size(); ++c) {
+                simulated_total += simulated(cols[c]);
+                if (validate)
+                    mae += std::abs(cols[c].perf.tpi_ns -
+                                    full.perf[a][c].tpi_ns) /
+                           full.perf[a][c].tpi_ns;
+            }
+            const auto &sp = cols[best];
+            const double speedup =
+                static_cast<double>(length * cols.size()) /
+                static_cast<double>(simulated_total);
+            if (!validate) {
+                table.addRow({Cell(apps[a].name), Cell(label(sp, best)),
+                              Cell(sp.perf.tpi_ns, 3),
+                              Cell(sp.tpi_lo_ns, 3), Cell(sp.tpi_hi_ns, 3),
+                              Cell(speedup, 1)});
+                continue;
+            }
+            mae = 100.0 * mae / static_cast<double>(cols.size());
+            const double full_best = full.perf[a][best].tpi_ns;
+            const bool brackets =
+                sp.tpi_lo_ns <= full_best && full_best <= sp.tpi_hi_ns;
+            if (mae > mae_max || !brackets)
+                ++failures;
+            table.addRow(
+                {Cell(apps[a].name), Cell(label(sp, best)),
+                 Cell(sp.perf.tpi_ns, 3), Cell(mae, 2),
+                 Cell(brackets ? "yes" : "no"),
+                 Cell(best == full.selection.per_app_best[a] ? "yes" : "no"),
+                 Cell(speedup, 1)});
         }
-        bool brackets = lo <= full_best && full_best <= hi;
-        if (mae > mae_max || !brackets)
-            ++failures;
-        table.addRow({Cell(app), Cell(best), Cell(tpi, 3), Cell(mae, 2),
-                      Cell(brackets ? "yes" : "no"),
-                      Cell(argmin_kept ? "yes" : "no"),
-                      Cell(speedup, 1)});
     };
 
     if (side == "cache") {
-        uint64_t refs = options.getU64("refs", 600000, 1);
         core::AdaptiveCacheModel model;
         sample::SampledCacheStudy study = sample::runSampledCacheStudy(
             model, apps, refs, params, 8, jobs, session.hooks());
-        telemetry = study.telemetry;
-        core::CacheStudy full;
-        if (validate)
-            full = core::runCacheStudy(model, apps, refs, 8, jobs);
-        for (size_t a = 0; a < apps.size(); ++a) {
-            size_t best = study.selection.per_app_best[a];
-            const sample::SampledCachePerf &sp = study.perf[a][best];
-            double mae = 0.0;
-            bool argmin_kept = true;
-            double full_best = 0.0;
-            uint64_t simulated = 0;
-            for (size_t c = 0; c < study.perf[a].size(); ++c)
-                simulated += study.perf[a][c].simulated_refs;
-            if (validate) {
-                size_t fb = full.selection.per_app_best[a];
-                argmin_kept = best == fb;
-                full_best = full.perf[a][best].tpi_ns;
-                for (size_t c = 0; c < study.perf[a].size(); ++c)
-                    mae += std::abs(study.perf[a][c].perf.tpi_ns -
-                                    full.perf[a][c].tpi_ns) /
-                           full.perf[a][c].tpi_ns;
-                mae = 100.0 * mae /
-                      static_cast<double>(study.perf[a].size());
-            }
-            double speedup =
-                static_cast<double>(refs * study.perf[a].size()) /
-                static_cast<double>(simulated);
-            report(apps[a].name,
-                   std::to_string(8 * (best + 1)) + "KB",
-                   sp.perf.tpi_ns, sp.tpi_lo_ns, sp.tpi_hi_ns, full_best,
-                   mae, argmin_kept, speedup);
-        }
+        report(study,
+               validate ? core::runCacheStudy(model, apps, refs, 8, jobs)
+                        : core::CacheStudy{},
+               refs,
+               [](const sample::SampledCachePerf &p) {
+                   return p.simulated_refs;
+               },
+               [](const sample::SampledCachePerf &, size_t best) {
+                   return std::to_string(8 * (best + 1)) + "KB";
+               });
     } else {
-        uint64_t instrs = options.getU64("instrs", 400000, 1);
         core::AdaptiveIqModel model;
         sample::SampledIqStudy study = sample::runSampledIqStudy(
             model, apps, instrs, params, jobs, session.hooks());
-        telemetry = study.telemetry;
-        core::IqStudy full;
-        if (validate)
-            full = core::runIqStudy(model, apps, instrs, jobs);
-        for (size_t a = 0; a < apps.size(); ++a) {
-            size_t best = study.selection.per_app_best[a];
-            const sample::SampledIqPerf &sp = study.perf[a][best];
-            double mae = 0.0;
-            bool argmin_kept = true;
-            double full_best = 0.0;
-            uint64_t simulated = 0;
-            for (size_t c = 0; c < study.perf[a].size(); ++c)
-                simulated += study.perf[a][c].simulated_instrs;
-            if (validate) {
-                size_t fb = full.selection.per_app_best[a];
-                argmin_kept = best == fb;
-                full_best = full.perf[a][best].tpi_ns;
-                for (size_t c = 0; c < study.perf[a].size(); ++c)
-                    mae += std::abs(study.perf[a][c].perf.tpi_ns -
-                                    full.perf[a][c].tpi_ns) /
-                           full.perf[a][c].tpi_ns;
-                mae = 100.0 * mae /
-                      static_cast<double>(study.perf[a].size());
-            }
-            double speedup =
-                static_cast<double>(instrs * study.perf[a].size()) /
-                static_cast<double>(simulated);
-            report(apps[a].name, std::to_string(sp.perf.entries),
-                   sp.perf.tpi_ns, sp.tpi_lo_ns, sp.tpi_hi_ns, full_best,
-                   mae, argmin_kept, speedup);
-        }
+        report(study,
+               validate ? core::runIqStudy(model, apps, instrs, jobs)
+                        : core::IqStudy{},
+               instrs,
+               [](const sample::SampledIqPerf &p) {
+                   return p.simulated_instrs;
+               },
+               [](const sample::SampledIqPerf &p, size_t) {
+                   return std::to_string(p.perf.entries);
+               });
     }
     table.renderAscii(out);
     if (check)
         out << (failures ? "check: FAIL (" + std::to_string(failures) +
                                " app(s) out of tolerance)\n"
                          : "check: ok\n");
-    if (int rc = writeTelemetry(options, telemetry, err))
-        return rc;
     if (int rc = writeObsOutputs(session, telemetry, err))
         return rc;
     return check && failures ? 1 : 0;
@@ -1400,33 +1161,32 @@ cmdGenTrace(const Options &options, std::ostream &out, std::ostream &err)
         err << "capsim: gen-trace needs an application and a path\n";
         return 2;
     }
-    std::string side = options.get("study", "cache");
-    if (side != "cache" && side != "iq") {
-        err << "capsim: unknown --study " << side << '\n';
-        return 2;
-    }
-    bool ok = false;
-    auto apps = selectApps(options.positional[0], side == "cache", err, ok);
-    if (!ok || apps.size() != 1) {
-        if (ok)
-            err << "capsim: gen-trace needs a single application\n";
-        return 2;
-    }
-    if (side == "iq") {
+    const bool cache = cacheSide(options);
+    options.only({"study", cache ? "refs" : "instrs"});
+    std::vector<std::string> apps = {options.positional[0]};
+    std::string error;
+    if (!serve::resolveApps(cache ? serve::JobKind::CacheSweep
+                                  : serve::JobKind::IqSweep,
+                            apps, error))
+        throw UsageError(error);
+    if (apps.size() != 1)
+        throw UsageError("gen-trace needs a single application");
+    const trace::AppProfile &app = trace::findApp(apps[0]);
+    if (!cache) {
         uint64_t instrs = options.getU64("instrs", 100000, 1);
-        ooo::InstructionStream stream(apps[0].ilp, apps[0].seed);
+        ooo::InstructionStream stream(app.ilp, app.seed);
         uint64_t written =
             ooo::writeUopTraceFile(options.positional[1], stream, instrs);
-        out << "wrote " << written << " uops of " << apps[0].name
-            << " to " << options.positional[1] << '\n';
+        out << "wrote " << written << " uops of " << app.name << " to "
+            << options.positional[1] << '\n';
         return 0;
     }
     uint64_t refs = options.getU64("refs", 100000, 1);
-    trace::SyntheticTraceSource source(apps[0].cache, apps[0].seed, refs);
+    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
     uint64_t written =
         trace::writeTraceFile(options.positional[1], source, refs);
-    out << "wrote " << written << " records of " << apps[0].name
-        << " to " << options.positional[1] << '\n';
+    out << "wrote " << written << " records of " << app.name << " to "
+        << options.positional[1] << '\n';
     return 0;
 }
 
@@ -1437,6 +1197,7 @@ cmdAnalyze(const Options &options, std::ostream &out, std::ostream &err)
         err << "capsim: analyze needs a trace file\n";
         return 2;
     }
+    options.only({"limit", "block"});
     uint64_t limit = options.getU64("limit", 0);
     uint64_t block = options.getU64("block", trace::kBlockBytes, 1);
 
@@ -1469,6 +1230,8 @@ cmdAnalyze(const Options &options, std::ostream &out, std::ostream &err)
 int
 cmdServe(const Options &options, std::ostream &out, std::ostream &err)
 {
+    options.only({"socket", "stdio", "jobs", "queue", "cache", "spill",
+                  "heartbeats", "heartbeat-period"});
     serve::ServerConfig config;
     config.queue_capacity =
         static_cast<size_t>(options.getU64("queue", 16));
@@ -1512,6 +1275,7 @@ cmdClient(const Options &options, std::ostream &out, std::ostream &err)
         err << "capsim: client needs a study file\n";
         return 2;
     }
+    options.only({"socket", "events", "shutdown"});
     serve::ClientOptions copts;
     copts.socket_path = options.get("socket");
     copts.study_path = options.positional[0];
@@ -1530,14 +1294,12 @@ dispatch(const std::string &command, const Options &options,
 {
     if (command == "help" || command == "--help")
         return cmdHelp(out);
-    if (command == "apps")
-        return cmdApps(out);
-    if (command == "timing")
-        return cmdTiming(out);
-    if (command == "cache-sweep")
-        return cmdCacheSweep(options, out, err);
-    if (command == "iq-sweep")
-        return cmdIqSweep(options, out, err);
+    if (command == "apps" || command == "timing") {
+        options.only({});
+        return command == "apps" ? cmdApps(out) : cmdTiming(out);
+    }
+    if (command == "cache-sweep" || command == "iq-sweep")
+        return cmdSweep(command, options, out, err);
     if (command == "interval-run")
         return cmdIntervalRun(options, out, err);
     if (command == "sample-profile")
@@ -1566,6 +1328,16 @@ dispatch(const std::string &command, const Options &options,
 }
 
 } // namespace
+
+serve::JobSpec
+studySpec(const std::vector<std::string> &args)
+{
+    if (args.empty())
+        throw UsageError("no study verb");
+    return studySpec(
+        args[0],
+        parseArgs(std::vector<std::string>(args.begin() + 1, args.end())));
+}
 
 int
 runCommand(const std::vector<std::string> &args, std::ostream &out,

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/job.h"
+
 namespace cap::cli {
 
 /** A malformed command line; runCommand() reports it and returns 2. */
@@ -50,44 +52,40 @@ struct Options
      * double's range.
      */
     double getDouble(const std::string &key, double fallback) const;
+
+    /** Throws UsageError naming the first flag not in @p known: a
+     *  verb rejects every flag it does not read. */
+    void only(const std::vector<std::string> &known) const;
 };
 
 /**
- * Parse arguments (excluding argv[0] and the command word).
- * Unknown flags are kept; values may be attached with '='.
+ * Parse arguments (excluding argv[0] and the command word).  Every
+ * flag is kept, for the verb to read or reject (Options::only);
+ * values may be attached with '='.
  */
 Options parseArgs(const std::vector<std::string> &args);
 
 /**
- * Execute a CAPsim command.  args[0] is the command word:
- *   apps                          list the workload suite
- *   timing                        print the clock tables
- *   cache-sweep <app|all>         TPI vs L1/L2 boundary
- *   iq-sweep <app|all>            TPI vs queue size
- *   interval-run <app>            Section-6 interval controller
- *   analyze-trace <path>          per-interval tables from a JSONL
- *                                 decision trace
- *   gen-trace <app> <path>        export a synthetic trace file
- *   analyze <path>                characterize a trace file
- *   serve --socket P|--stdio      study-server daemon (docs/SERVER.md)
- *   client <study> --socket P     submit a study file to a daemon
- *   help                          usage
+ * Execute a CAPsim command: args[0] is the command word, the rest its
+ * arguments; `capsim help` lists every command and its flags.  A
+ * command rejects a flag it does not read, or a malformed value, as a
+ * usage error.
  *
- * The sweep commands accept --jobs N (worker threads for the
- * (app, config) cells; 0 = every hardware thread; results are
- * bit-identical for every value) and --telemetry-json PATH (write
- * per-cell execution telemetry as JSON).
- *
- * The sweeps and interval-run additionally accept the observability
- * flags --trace PATH (JSONL decision trace + Chrome trace at
- * PATH.chrome.json), --chrome-trace PATH, and --metrics-json PATH
- * (telemetry + counter registry); see docs/OBSERVABILITY.md.
- *
- * @return Process exit code (0 on success; kUnknownCommandExit for an
- *         unrecognized command word).
+ * @return Process exit code (0 on success; 2 on a usage error;
+ *         kUnknownCommandExit for an unrecognized command word).
  */
 int runCommand(const std::vector<std::string> &args, std::ostream &out,
                std::ostream &err);
+
+/**
+ * The study a study verb's command line asks for: args[0] is
+ * cache-sweep, iq-sweep, interval-run, sample-profile or sample-run,
+ * and the spec is the one the verb runs, read through the table
+ * serve::jobFromJson reads (a sample verb's is a cache or IQ study of
+ * 600000 references or 400000 instructions by default).  Throws
+ * UsageError where the verb would exit 2.
+ */
+serve::JobSpec studySpec(const std::vector<std::string> &args);
 
 /** Exit code for an unknown command word (distinct from the usage
  *  errors' 2, mirroring BSD sysexits EX_USAGE). */

@@ -113,14 +113,12 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
         current = to;
     };
 
-    auto measureInterval = [&]() {
+    auto measureInterval = [&](uint64_t count) {
         CacheIntervalCost cost =
-            runInterval(*model_, hierarchy, source, params_.interval_refs,
+            runInterval(*model_, hierarchy, source, count,
                         model_->boundaryTiming(current),
                         app.cache.refs_per_instr, clock);
-        double tpi = credit(result, cost, params_.interval_refs, current);
-        fold(current, tpi);
-        return tpi;
+        fold(current, credit(result, cost, count, current));
     };
 
     uint64_t total_intervals = refs / params_.interval_refs;
@@ -133,7 +131,7 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
             interval % static_cast<uint64_t>(params_.probe_period) ==
             static_cast<uint64_t>(params_.probe_period) - 1;
         if (!probe_now) {
-            measureInterval();
+            measureInterval(params_.interval_refs);
             continue;
         }
 
@@ -141,12 +139,12 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
         int neighbour = home + probe_direction;
         probe_direction = -probe_direction;
         if (neighbour < 1 || neighbour > max_boundary) {
-            measureInterval();
+            measureInterval(params_.interval_refs);
             continue;
         }
 
         reconfigure(neighbour);
-        measureInterval();
+        measureInterval(params_.interval_refs);
 
         double home_est = estimate[static_cast<size_t>(home)];
         double nb_est = estimate[static_cast<size_t>(neighbour)];
@@ -180,6 +178,11 @@ IntervalAdaptiveCache::run(const trace::AppProfile &app, uint64_t refs,
             ++result.committed_moves;
         }
     }
+    // The final partial interval: too short to probe, but its
+    // references are part of the run and must be simulated and
+    // credited.
+    if (uint64_t tail = refs % params_.interval_refs)
+        measureInterval(tail);
     return result;
 }
 
@@ -310,6 +313,14 @@ PhasePredictiveCache::run(const trace::AppProfile &app, uint64_t refs,
             }
         }
     }
+    // The final partial interval, at the boundary the run ended on,
+    // with no trial verdict or phase decision.
+    if (uint64_t tail = refs % params_.interval_refs)
+        credit(result,
+               runInterval(*model_, hierarchy, source, tail,
+                           model_->boundaryTiming(current),
+                           app.cache.refs_per_instr, clock),
+               tail, current);
     return result;
 }
 

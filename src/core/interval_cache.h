@@ -70,7 +70,9 @@ class IntervalAdaptiveCache
 
     /**
      * Run @p refs references of @p app starting at
-     * @p initial_boundary, adapting at interval boundaries.
+     * @p initial_boundary, adapting at interval boundaries.  A final
+     * partial interval (refs % interval_refs) is simulated and credited
+     * at the boundary the run ends on.
      * @param max_boundary Largest boundary the controller may choose.
      */
     CacheIntervalResult run(const trace::AppProfile &app, uint64_t refs,

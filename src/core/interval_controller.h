@@ -90,6 +90,8 @@ struct IntervalPolicyParams
     double phase_distance_threshold = 1.0;
     /** Phase-table capacity (phase modes). */
     size_t max_phases = 16;
+
+    bool operator==(const IntervalPolicyParams &) const = default;
 };
 
 /** Outcome of an interval-controlled (or oracle) run. */

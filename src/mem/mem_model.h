@@ -44,6 +44,8 @@ struct DramParams {
     uint32_t mshr_entries = 8;
     /** Row-buffer management policy. */
     PagePolicy page_policy = PagePolicy::Open;
+
+    bool operator==(const DramParams &) const = default;
 };
 
 /** Full memory configuration as selected by `--mem=...`. */
@@ -52,6 +54,8 @@ struct MemConfig {
     DramParams dram;
 
     bool isDram() const { return kind == MemKind::Dram; }
+
+    bool operator==(const MemConfig &) const = default;
 
     /** Canonical spec string (parseable by parseMemSpec); "flat" or
      *  "dram:banks=..,row=..,...". Used for labels and job specs. */

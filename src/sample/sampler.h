@@ -82,6 +82,8 @@ struct SampleParams
     uint64_t cluster_seed = 0xCA97;
     /** Also simulate a variance probe per multi-member cluster. */
     bool variance_probes = true;
+
+    bool operator==(const SampleParams &) const = default;
 };
 
 /** One interval the replayer must simulate. */

@@ -1,11 +1,8 @@
 #include "job.h"
 
-#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstring>
-#include <initializer_list>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -36,332 +33,6 @@ JobSpec::label() const
         label += "sampled-";
     label += jobKindName(kind);
     return label;
-}
-
-namespace {
-
-/** False with @p error naming the first member of @p object that is
- *  not one of @p keys. */
-bool
-onlyKeys(const json::Value &object,
-         std::initializer_list<std::string_view> keys, const char *what,
-         std::string &error)
-{
-    for (const auto &[name, member] : object.object) {
-        if (std::find(keys.begin(), keys.end(), name) == keys.end()) {
-            error = std::string("unknown ") + what + " key \"" + name + "\"";
-            return false;
-        }
-    }
-    return true;
-}
-
-/** json::Value::readU64() into a non-negative int field. */
-bool
-readInt(const json::Value &job, const std::string &key, int &out,
-        std::string &error)
-{
-    uint64_t value = static_cast<uint64_t>(out);
-    if (!job.readU64(key, value, error))
-        return false;
-    if (value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-        error = "\"" + key + "\" is out of range";
-        return false;
-    }
-    out = static_cast<int>(value);
-    return true;
-}
-
-/** Resolve the "apps" member ("all", a name, or an array of names). */
-bool
-resolveApps(const json::Value &job, JobKind kind,
-            std::vector<std::string> &apps, std::string &error)
-{
-    std::vector<std::string> requested;
-    const json::Value *field = job.find("apps");
-    if (!field) {
-        error = "job needs an \"apps\" field (\"all\", a name, or a "
-                "list of names)";
-        return false;
-    }
-    if (field->isString()) {
-        requested.push_back(field->string);
-    } else if (field->isArray()) {
-        for (const json::Value &entry : field->array) {
-            if (!entry.isString()) {
-                error = "\"apps\" entries must be strings";
-                return false;
-            }
-            requested.push_back(entry.string);
-        }
-    } else {
-        error = "\"apps\" must be a string or an array of strings";
-        return false;
-    }
-    if (requested.empty()) {
-        error = "\"apps\" must name at least one application";
-        return false;
-    }
-
-    apps.clear();
-    for (const std::string &name : requested) {
-        if (name == "all") {
-            // Same expansion as the offline verbs: the cache study
-            // excludes go, the IQ study runs the full suite.
-            const auto expanded = kind == JobKind::CacheSweep
-                                      ? trace::cacheStudyApps()
-                                      : trace::iqStudyApps();
-            for (const trace::AppProfile &app : expanded)
-                apps.push_back(app.name);
-            continue;
-        }
-        bool known = false;
-        for (const trace::AppProfile &app : trace::workloadSuite()) {
-            if (app.name == name) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            error = "unknown application '" + name + "'";
-            return false;
-        }
-        apps.push_back(name);
-    }
-    return true;
-}
-
-} // namespace
-
-bool
-jobFromJson(const json::Value &job, JobSpec &spec, std::string &error)
-{
-    if (!job.isObject()) {
-        error = "job must be an object";
-        return false;
-    }
-    // A misspelt key must not fall back to a default silently.  The
-    // retired "one_pass" key is still accepted, and ignored.
-    if (!onlyKeys(job,
-                  {"kind", "apps", "sampled", "refs", "instrs",
-                   "deadline_ms", "mem", "sample", "entries", "interval",
-                   "probe_period", "confidence", "probe_max",
-                   "phase_threshold", "trigger", "one_pass"},
-                  "job", error))
-        return false;
-    std::string kind = job.stringOr("kind");
-    if (kind == "cache-sweep") {
-        spec.kind = JobKind::CacheSweep;
-    } else if (kind == "iq-sweep") {
-        spec.kind = JobKind::IqSweep;
-    } else if (kind == "interval-run") {
-        spec.kind = JobKind::IntervalRun;
-    } else {
-        error = kind.empty()
-                    ? "job needs a \"kind\" (cache-sweep, iq-sweep, or "
-                      "interval-run)"
-                    : "unknown job kind '" + kind + "'";
-        return false;
-    }
-
-    if (!resolveApps(job, spec.kind, spec.apps, error))
-        return false;
-
-    spec.sampled = job.boolOr("sampled", false);
-    spec.refs = 150000;
-    spec.instrs = 120000;
-    if (!job.readU64("refs", spec.refs, error) ||
-        !job.readU64("instrs", spec.instrs, error))
-        return false;
-    double deadline_ms = job.numberOr("deadline_ms", 0.0);
-    spec.deadline_s = deadline_ms > 0.0 ? deadline_ms / 1000.0 : 0.0;
-    if (spec.refs == 0 || spec.instrs == 0) {
-        error = "\"refs\" and \"instrs\" must be positive";
-        return false;
-    }
-
-    if (const json::Value *mem = job.find("mem")) {
-        if (!mem->isString()) {
-            error = "\"mem\" must be a spec string "
-                    "(\"flat\" or \"dram[:k=v,..]\")";
-            return false;
-        }
-        if (!mem::parseMemSpec(mem->string, spec.mem, error))
-            return false;
-    }
-    if (spec.mem.isDram() && spec.sampled) {
-        error = "sampled mode supports mem=flat only (sampled "
-                "reconstruction assumes a position-independent miss "
-                "cost)";
-        return false;
-    }
-
-    if (const json::Value *sample = job.find("sample")) {
-        if (!sample->isObject()) {
-            error = "\"sample\" must be an object";
-            return false;
-        }
-        if (!onlyKeys(*sample,
-                      {"clusters", "interval", "warmup", "cold_prefix"},
-                      "sample", error))
-            return false;
-        uint64_t clusters = spec.sample.clusters;
-        if (!sample->readU64("clusters", clusters, error) ||
-            !sample->readU64("interval", spec.sample.interval_len,
-                             error) ||
-            !sample->readU64("warmup", spec.sample.warmup_len, error) ||
-            !sample->readU64("cold_prefix", spec.sample.cold_prefix_len,
-                             error))
-            return false;
-        spec.sample.clusters = static_cast<size_t>(clusters);
-        if (spec.sample.clusters == 0 || spec.sample.interval_len == 0) {
-            error = "sample clusters and interval must be positive";
-            return false;
-        }
-    }
-
-    if (spec.kind == JobKind::IntervalRun) {
-        if (spec.sampled) {
-            error = "interval-run has no sampled mode";
-            return false;
-        }
-        if (spec.apps.size() != 1) {
-            error = "interval-run needs a single application";
-            return false;
-        }
-        spec.entries = 32;
-        if (!readInt(job, "entries", spec.entries, error))
-            return false;
-        std::vector<int> sizes = core::AdaptiveIqModel::studySizes();
-        if (std::find(sizes.begin(), sizes.end(), spec.entries) ==
-            sizes.end()) {
-            error = "entries " + std::to_string(spec.entries) +
-                    " is not a study configuration";
-            return false;
-        }
-        core::IntervalPolicyParams &p = spec.params;
-        if (!job.readU64("interval", p.interval_instrs, error) ||
-            !readInt(job, "probe_period", p.probe_period, error) ||
-            !readInt(job, "confidence", p.confidence_needed, error) ||
-            !readInt(job, "probe_max", p.probe_period_max, error))
-            return false;
-        p.phase_distance_threshold = job.numberOr(
-            "phase_threshold", p.phase_distance_threshold);
-        std::string trigger = job.stringOr("trigger", "period");
-        if (trigger == "period") {
-            p.trigger = core::IntervalTrigger::Period;
-        } else if (trigger == "phase") {
-            p.trigger = core::IntervalTrigger::PhaseChange;
-        } else if (trigger == "hybrid") {
-            p.trigger = core::IntervalTrigger::Hybrid;
-        } else {
-            error = "trigger must be period, phase, or hybrid";
-            return false;
-        }
-        if (p.interval_instrs == 0 || p.probe_period < 2 ||
-            p.confidence_needed < 1 ||
-            p.probe_period_max < p.probe_period ||
-            p.phase_distance_threshold <= 0.0) {
-            error = "invalid interval-controller parameters";
-            return false;
-        }
-    }
-    return true;
-}
-
-namespace {
-
-/**
- * hashAppProfile(@p app).  The suite's profiles never change, so the
- * hashes of its own objects come from a table built on first use; any
- * other object (a copy, a re-seeded variant) is hashed on the spot.
- */
-uint64_t
-profileHash(const trace::AppProfile &app)
-{
-    const std::vector<trace::AppProfile> &suite = trace::workloadSuite();
-    static const std::vector<uint64_t> hashes = [&suite] {
-        std::vector<uint64_t> table;
-        for (const trace::AppProfile &profile : suite)
-            table.push_back(hashAppProfile(profile));
-        return table;
-    }();
-    for (size_t i = 0; i < suite.size(); ++i) {
-        if (&suite[i] == &app)
-            return hashes[i];
-    }
-    return hashAppProfile(app);
-}
-
-} // namespace
-
-uint64_t
-cellKey(const JobSpec &spec, const trace::AppProfile &app)
-{
-    KeyBuilder key;
-    key.add("profile", profileHash(app));
-    key.add("kind", std::string(jobKindName(spec.kind)));
-    switch (spec.kind) {
-    case JobKind::CacheSweep:
-        key.add("refs", spec.refs);
-        key.add("boundaries", static_cast<uint64_t>(8));
-        // The miss backend changes the simulated result, so it is
-        // part of the content hash -- but only when dram, so every
-        // pre-dram cache entry (and spill file) still matches the
-        // flat requests it was computed for.
-        if (spec.mem.isDram()) {
-            const mem::DramParams &d = spec.mem.dram;
-            key.add("mem", spec.mem.canonical());
-            key.add("mem.banks", static_cast<uint64_t>(d.banks));
-            key.add("mem.row_bytes", d.row_bytes);
-            key.addBits("mem.row_hit_ns", d.row_hit_ns);
-            key.addBits("mem.row_miss_ns", d.row_miss_ns);
-            key.addBits("mem.row_conflict_ns", d.row_conflict_ns);
-            key.addBits("mem.burst_ns", d.burst_ns);
-            key.add("mem.mshr", static_cast<uint64_t>(d.mshr_entries));
-            key.add("mem.policy", static_cast<int64_t>(d.page_policy));
-        }
-        break;
-    case JobKind::IqSweep: {
-        key.add("instrs", spec.instrs);
-        std::string sizes;
-        for (int entries : core::AdaptiveIqModel::studySizes())
-            sizes += std::to_string(entries) + ",";
-        key.add("sizes", sizes);
-        break;
-    }
-    case JobKind::IntervalRun: {
-        const core::IntervalPolicyParams &p = spec.params;
-        key.add("instrs", spec.instrs);
-        key.add("entries", spec.entries);
-        key.addBits("ewma_alpha", p.ewma_alpha);
-        key.addBits("switch_margin", p.switch_margin);
-        key.add("confidence", p.confidence_needed);
-        key.add("probe_period", p.probe_period);
-        key.add("interval_instrs", p.interval_instrs);
-        key.add("use_confidence", p.use_confidence);
-        key.add("switch_penalty",
-                static_cast<uint64_t>(p.switch_penalty_cycles));
-        key.add("trigger", static_cast<int64_t>(p.trigger));
-        key.add("probe_max", p.probe_period_max);
-        key.addBits("phase_threshold", p.phase_distance_threshold);
-        key.add("max_phases", static_cast<uint64_t>(p.max_phases));
-        break;
-    }
-    }
-    if (spec.sampled) {
-        const sample::SampleParams &s = spec.sample;
-        key.add("sampled", true);
-        key.add("sample.interval", s.interval_len);
-        key.add("sample.clusters", static_cast<uint64_t>(s.clusters));
-        key.add("sample.warmup", s.warmup_len);
-        key.add("sample.cold_prefix", s.cold_prefix_len);
-        key.add("sample.max_sweeps", s.max_sweeps);
-        key.addBits("sample.confidence_z", s.confidence_z);
-        key.add("sample.cluster_seed", s.cluster_seed);
-        key.add("sample.variance_probes", s.variance_probes);
-    }
-    return key.hash();
 }
 
 // ---------------------------------------------------------------------
@@ -455,18 +126,17 @@ scanRow(const std::string &text, std::string_view head,
     return in.literal("]}") && in.atEnd();
 }
 
-void
+/** A cache column's members, inside its object. */
+json::Writer &
 writeCachePerf(json::Writer &w, const core::CachePerf &p)
 {
-    w.beginObject()
-        .key("l1").value(static_cast<int64_t>(p.l1_increments))
+    return w.key("l1").value(static_cast<int64_t>(p.l1_increments))
         .key("refs").value(std::to_string(p.refs))
         .key("instrs").value(std::to_string(p.instructions))
         .key("l1_miss").value(json::doubleBits(p.l1_miss_ratio))
         .key("global_miss").value(json::doubleBits(p.global_miss_ratio))
         .key("tpi_ns").value(json::doubleBits(p.tpi_ns))
-        .key("tpi_miss_ns").value(json::doubleBits(p.tpi_miss_ns))
-        .endObject();
+        .key("tpi_miss_ns").value(json::doubleBits(p.tpi_miss_ns));
 }
 
 /** writeCachePerf's members, from the opening brace up to its close. */
@@ -482,16 +152,15 @@ scanCachePerf(RowScanner &in, core::CachePerf &p)
            in.field(",\"tpi_miss_ns\":", p.tpi_miss_ns);
 }
 
-void
+/** An IQ column's members, inside its object. */
+json::Writer &
 writeIqPerf(json::Writer &w, const core::IqPerf &p)
 {
-    w.beginObject()
-        .key("entries").value(static_cast<int64_t>(p.entries))
+    return w.key("entries").value(static_cast<int64_t>(p.entries))
         .key("instrs").value(std::to_string(p.instructions))
         .key("cycles").value(std::to_string(static_cast<uint64_t>(p.cycles)))
         .key("ipc").value(json::doubleBits(p.ipc))
-        .key("tpi_ns").value(json::doubleBits(p.tpi_ns))
-        .endObject();
+        .key("tpi_ns").value(json::doubleBits(p.tpi_ns));
 }
 
 /** writeIqPerf's members, from the opening brace up to its close. */
@@ -515,7 +184,7 @@ encodeCacheRow(const std::vector<core::CachePerf> &row)
     w.beginObject().key("kind").value("cache-row").key("cols")
         .beginArray();
     for (const core::CachePerf &p : row)
-        writeCachePerf(w, p);
+        writeCachePerf(w.beginObject(), p).endObject();
     w.endArray().endObject();
     return os.str();
 }
@@ -537,16 +206,7 @@ encodeSampledCacheRow(const std::vector<sample::SampledCachePerf> &row)
     w.beginObject().key("kind").value("sampled-cache-row").key("cols")
         .beginArray();
     for (const sample::SampledCachePerf &p : row) {
-        w.beginObject()
-            .key("l1").value(static_cast<int64_t>(p.perf.l1_increments))
-            .key("refs").value(std::to_string(p.perf.refs))
-            .key("instrs").value(std::to_string(p.perf.instructions))
-            .key("l1_miss").value(json::doubleBits(p.perf.l1_miss_ratio))
-            .key("global_miss")
-            .value(json::doubleBits(p.perf.global_miss_ratio))
-            .key("tpi_ns").value(json::doubleBits(p.perf.tpi_ns))
-            .key("tpi_miss_ns")
-            .value(json::doubleBits(p.perf.tpi_miss_ns))
+        writeCachePerf(w.beginObject(), p.perf)
             .key("lo").value(json::doubleBits(p.tpi_lo_ns))
             .key("hi").value(json::doubleBits(p.tpi_hi_ns))
             .key("simulated").value(std::to_string(p.simulated_refs))
@@ -577,7 +237,7 @@ encodeIqRow(const std::vector<core::IqPerf> &row)
     json::Writer w(os);
     w.beginObject().key("kind").value("iq-row").key("cols").beginArray();
     for (const core::IqPerf &p : row)
-        writeIqPerf(w, p);
+        writeIqPerf(w.beginObject(), p).endObject();
     w.endArray().endObject();
     return os.str();
 }
@@ -599,13 +259,7 @@ encodeSampledIqRow(const std::vector<sample::SampledIqPerf> &row)
     w.beginObject().key("kind").value("sampled-iq-row").key("cols")
         .beginArray();
     for (const sample::SampledIqPerf &p : row) {
-        w.beginObject()
-            .key("entries").value(static_cast<int64_t>(p.perf.entries))
-            .key("instrs").value(std::to_string(p.perf.instructions))
-            .key("cycles")
-            .value(std::to_string(static_cast<uint64_t>(p.perf.cycles)))
-            .key("ipc").value(json::doubleBits(p.perf.ipc))
-            .key("tpi_ns").value(json::doubleBits(p.perf.tpi_ns))
+        writeIqPerf(w.beginObject(), p.perf)
             .key("lo").value(json::doubleBits(p.tpi_lo_ns))
             .key("hi").value(json::doubleBits(p.tpi_hi_ns))
             .key("simulated").value(std::to_string(p.simulated_instrs))
@@ -699,12 +353,11 @@ JobExecutor::runSweep(
     outcome.cells = n;
 
     std::vector<Row> rows(n);
-    std::vector<uint64_t> keys(n);
+    const std::vector<uint64_t> keys = cellKeys(spec, profiles);
     std::vector<size_t> missing;
     if (progress)
         progress->beginRun(spec.label(), n, pool_.threadCount());
     for (size_t i = 0; i < n; ++i) {
-        keys[i] = cellKey(spec, *profiles[i]);
         std::string value;
         if (cache_.get(keys[i], value) && decode(value, rows[i])) {
             ++outcome.cell_hits;
@@ -775,68 +428,22 @@ JobExecutor::runSweep(
     return outcome;
 }
 
-JobOutcome
-JobExecutor::runInterval(
-    const JobSpec &spec, const std::function<Interrupt()> &interrupted,
-    const std::function<void(const std::string &, bool)> &onCell,
-    obs::ProgressMeter *progress)
+namespace {
+
+/** @p render, a sweep renderer, at run length @p length. */
+template <typename Row>
+auto
+renderAt(void (*render)(std::ostream &, const std::vector<std::string> &,
+                        const std::vector<Row> &, uint64_t),
+         uint64_t length)
 {
-    JobOutcome outcome;
-    outcome.cells = 1;
-    const trace::AppProfile &app = trace::findApp(spec.apps[0]);
-    const uint64_t key = cellKey(spec, app);
-    IntervalSummary summary;
-    if (progress)
-        progress->beginRun(spec.label(), 1, pool_.threadCount());
-
-    std::string value;
-    if (cache_.get(key, value) && decodeIntervalSummary(value, summary)) {
-        ++outcome.cell_hits;
-        if (progress)
-            progress->noteCellDone(0, 0);
-        if (onCell)
-            onCell(app.name, true);
-    } else {
-        Interrupt stop =
-            interrupted ? interrupted() : Interrupt::None;
-        if (stop != Interrupt::None) {
-            if (progress)
-                progress->endRun();
-            outcome.status = stop == Interrupt::Cancelled
-                                 ? JobOutcome::Status::Cancelled
-                                 : JobOutcome::Status::Deadline;
-            outcome.error = stop == Interrupt::Cancelled
-                                ? "cancelled"
-                                : "deadline exceeded";
-            return outcome;
-        }
-        auto start = std::chrono::steady_clock::now();
-        core::IntervalAdaptiveIq controller(iq_model_, spec.params);
-        core::IntervalRunResult result =
-            controller.run(app, spec.instrs, spec.entries);
-        summary = summarizeIntervalRun(result, spec.entries);
-        uint64_t busy_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        cache_.put(key, encodeIntervalSummary(summary));
-        ++outcome.cell_misses;
-        if (progress)
-            progress->noteCellDone(0, busy_ns);
-        if (onCell)
-            onCell(app.name, false);
-    }
-    if (progress)
-        progress->endRun();
-
-    std::ostringstream out;
-    renderIntervalRun(out, app.name, spec.instrs,
-                      spec.params.trigger !=
-                          core::IntervalTrigger::Period,
-                      summary);
-    outcome.output = out.str();
-    return outcome;
+    return [=](std::ostream &os, const std::vector<std::string> &names,
+               const std::vector<Row> &rows) {
+        render(os, names, rows, length);
+    };
 }
+
+} // namespace
 
 JobOutcome
 JobExecutor::run(const JobSpec &spec,
@@ -856,12 +463,7 @@ JobExecutor::run(const JobSpec &spec,
                         .perf[0];
                 },
                 encodeSampledCacheRow, decodeSampledCacheRow,
-                [&](std::ostream &os,
-                    const std::vector<std::string> &names,
-                    const std::vector<std::vector<sample::SampledCachePerf>>
-                        &perf) {
-                    renderSampledCacheSweep(os, names, perf, spec.refs);
-                });
+                renderAt(renderSampledCacheSweep, spec.refs));
         }
         // A dram job gets a job-local model carrying its memory
         // config; flat jobs keep using the shared flat model, so their
@@ -879,10 +481,7 @@ JobExecutor::run(const JobSpec &spec,
                 return core::runCacheStudy(model, {app}, spec.refs).perf[0];
             },
             encodeCacheRow, decodeCacheRow,
-            [&](std::ostream &os, const std::vector<std::string> &names,
-                const std::vector<std::vector<core::CachePerf>> &perf) {
-                renderCacheSweep(os, names, perf, spec.refs);
-            });
+            renderAt(renderCacheSweep, spec.refs));
     }
     case JobKind::IqSweep:
         if (spec.sampled) {
@@ -895,12 +494,7 @@ JobExecutor::run(const JobSpec &spec,
                         .perf[0];
                 },
                 encodeSampledIqRow, decodeSampledIqRow,
-                [&](std::ostream &os,
-                    const std::vector<std::string> &names,
-                    const std::vector<std::vector<sample::SampledIqPerf>>
-                        &perf) {
-                    renderSampledIqSweep(os, names, perf, spec.instrs);
-                });
+                renderAt(renderSampledIqSweep, spec.instrs));
         }
         return runSweep<std::vector<core::IqPerf>>(
             spec, interrupted, onCell, progress,
@@ -908,13 +502,24 @@ JobExecutor::run(const JobSpec &spec,
                 return core::runIqStudy(iq_model_, {app}, spec.instrs)
                     .perf[0];
             },
-            encodeIqRow, decodeIqRow,
-            [&](std::ostream &os, const std::vector<std::string> &names,
-                const std::vector<std::vector<core::IqPerf>> &perf) {
-                renderIqSweep(os, names, perf, spec.instrs);
-            });
+            encodeIqRow, decodeIqRow, renderAt(renderIqSweep, spec.instrs));
     case JobKind::IntervalRun:
-        return runInterval(spec, interrupted, onCell, progress);
+        return runSweep<IntervalSummary>(
+            spec, interrupted, onCell, progress,
+            [&](const trace::AppProfile &app) {
+                core::IntervalAdaptiveIq controller(iq_model_, spec.params);
+                return summarizeIntervalRun(
+                    controller.run(app, spec.instrs, spec.entries),
+                    spec.entries);
+            },
+            encodeIntervalSummary, decodeIntervalSummary,
+            [&](std::ostream &os, const std::vector<std::string> &names,
+                const std::vector<IntervalSummary> &summary) {
+                renderIntervalRun(os, names[0], spec.instrs,
+                                  spec.params.trigger !=
+                                      core::IntervalTrigger::Period,
+                                  summary[0]);
+            });
     }
     panic("unknown job kind %d", static_cast<int>(spec.kind));
 }

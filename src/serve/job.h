@@ -28,7 +28,9 @@
 #define CAPSIM_SERVE_JOB_H
 
 #include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/adaptive_cache.h"
@@ -48,7 +50,12 @@ enum class JobKind { CacheSweep, IqSweep, IntervalRun };
 
 const char *jobKindName(JobKind kind);
 
-/** A validated study request (the "job" object of a submit). */
+/**
+ * A validated study request (the "job" object of a submit, or a study
+ * verb's command line).  Each field's job key, flag, type, range and
+ * cell-key entry are its row of the one table in job_spec.cc; its
+ * default is the value below.
+ */
 struct JobSpec
 {
     JobKind kind = JobKind::CacheSweep;
@@ -75,27 +82,58 @@ struct JobSpec
 
     /** Progress label, e.g. "serve:cache-sweep". */
     std::string label() const;
+
+    bool operator==(const JobSpec &) const = default;
 };
 
 /**
- * Parse and validate a job object (field defaults mirror the offline
- * verbs, so an empty job body reproduces the offline defaults).
- * Returns false with @p error set for unknown kinds, unknown keys (in
- * the job or its "sample" object), unknown applications, or
- * out-of-range controller parameters.
+ * Parse and validate a job object over the defaults of a
+ * default-constructed JobSpec (they mirror the offline verbs, so a
+ * job with only a kind and apps reproduces the offline defaults).
+ * Returns false with @p error naming the key for an unknown key (in
+ * the job or its "sample" object), a value of the wrong type or out of
+ * range, an unknown kind or application, or a broken cross-field rule.
  */
 bool jobFromJson(const json::Value &job, JobSpec &spec,
                  std::string &error);
 
 /**
- * Content-hash key of @p app's cell under @p spec: profile hash,
- * study kind, run length, configuration vector, and sampling knobs
- * when sampled, plus the memory config under dram.  The worker
- * count is excluded: results are bit-identical for every `jobs`.
- * The profile hash of a trace::workloadSuite() element comes from a
- * table built on first use; any other profile object is hashed on the
- * spot, so a copy keys like the suite object it copies.
+ * jobFromJson for a study verb: the fields @p keys from their @p flags
+ * (flagName), over @p spec, whose apps are the names the verb was
+ * given.  The "sample" key is the sweeps' --sample[=k[,interval[,
+ * warmup]]], which also sets sampled.  False with @p error naming the
+ * flag.
  */
+bool jobFromFlags(const std::map<std::string, std::string> &flags,
+                  const std::vector<std::string_view> &keys,
+                  JobSpec &spec, std::string &error);
+
+/** The command-line flag of job key @p key: "sample.cold_prefix" is
+ *  cold-prefix, "probe_period" probe-period. */
+std::string flagName(std::string_view key);
+
+/**
+ * Expand application names in place: "all" becomes @p kind's study
+ * suite (the cache study leaves go out); any other name must be a
+ * suite application.  False with @p error naming an unknown one.
+ */
+bool resolveApps(JobKind kind, std::vector<std::string> &apps,
+                 std::string &error);
+
+/**
+ * Content-hash keys of @p apps' cells under @p spec: the job's keyed
+ * fields (the table's cell-key entries), canonicalized once, and each
+ * cell's profile hash.  The worker count is excluded: results are
+ * bit-identical for every `jobs`.  The profile hash of a
+ * trace::workloadSuite() element comes from a table built on first
+ * use; any other profile object is hashed on the spot, so a copy keys
+ * like the suite object it copies.
+ */
+std::vector<uint64_t>
+cellKeys(const JobSpec &spec,
+         const std::vector<const trace::AppProfile *> &apps);
+
+/** cellKeys(@p spec, {&@p app}). */
 uint64_t cellKey(const JobSpec &spec, const trace::AppProfile &app);
 
 /** Row codecs (canonical JSON, bit-exact doubles). */
@@ -181,12 +219,6 @@ class JobExecutor
         const std::function<void(std::ostream &,
                                  const std::vector<std::string> &,
                                  const std::vector<Row> &)> &render);
-
-    JobOutcome runInterval(
-        const JobSpec &spec,
-        const std::function<Interrupt()> &interrupted,
-        const std::function<void(const std::string &, bool)> &onCell,
-        obs::ProgressMeter *progress);
 
     ResultCache &cache_;
     ThreadPool pool_;

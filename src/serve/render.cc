@@ -7,33 +7,77 @@ namespace cap::serve {
 namespace {
 
 std::vector<std::string>
-cacheSweepHeader()
+cacheConfigs()
 {
-    std::vector<std::string> header{"app"};
+    std::vector<std::string> configs;
     for (int k = 1; k <= 8; ++k)
-        header.push_back(std::to_string(8 * k) + "KB");
-    header.push_back("best");
-    return header;
+        configs.push_back(std::to_string(8 * k) + "KB");
+    return configs;
 }
 
 std::vector<std::string>
-iqSweepHeader()
+iqConfigs()
 {
-    std::vector<std::string> header{"app"};
+    std::vector<std::string> configs;
     for (int entries : core::AdaptiveIqModel::studySizes())
-        header.push_back(std::to_string(entries));
-    header.push_back("best");
-    return header;
+        configs.push_back(std::to_string(entries));
+    return configs;
 }
 
-void
-sampledTrailer(std::ostream &out, uint64_t simulated, uint64_t full,
-               const char *unit)
+/** A column's TPI: a sampled column's estimate, or a full one's. */
+template <typename Col>
+double
+tpiOf(const Col &col)
 {
-    out << "sampled: " << simulated << " " << unit << " simulated of "
-        << full << " ("
+    if constexpr (requires { col.perf; })
+        return col.perf.tpi_ns;
+    else
+        return col.tpi_ns;
+}
+
+/**
+ * A sweep table titled @p title: one row per application, its TPI
+ * under each of @p configs and the label of its lowest-TPI column.  A
+ * sampled sweep's table is followed by its cost: the @p simulated
+ * @p unit summed, against the full run's, @p length per cell.
+ */
+template <typename Col>
+void
+renderSweep(std::ostream &out, const std::string &title,
+            const std::vector<std::string> &configs,
+            const std::vector<std::string> &app_names,
+            const std::vector<std::vector<Col>> &perf,
+            uint64_t Col::*simulated = nullptr, uint64_t length = 0,
+            const char *unit = "")
+{
+    TableWriter table(title);
+    std::vector<std::string> header{"app"};
+    header.insert(header.end(), configs.begin(), configs.end());
+    header.push_back("best");
+    table.setHeader(header);
+    uint64_t simulated_total = 0;
+    for (size_t a = 0; a < app_names.size(); ++a) {
+        std::vector<Cell> row{Cell(app_names[a])};
+        const auto &sweep = perf[a];
+        size_t best = 0;
+        for (size_t i = 0; i < sweep.size(); ++i) {
+            row.emplace_back(tpiOf(sweep[i]), 3);
+            if (tpiOf(sweep[i]) < tpiOf(sweep[best]))
+                best = i;
+            if (simulated)
+                simulated_total += sweep[i].*simulated;
+        }
+        row.emplace_back(configs[best]);
+        table.addRow(row);
+    }
+    table.renderAscii(out);
+    if (!simulated)
+        return;
+    const uint64_t full = length * app_names.size() * configs.size();
+    out << "sampled: " << simulated_total << " " << unit
+        << " simulated of " << full << " ("
         << Cell(static_cast<double>(full) /
-                    static_cast<double>(simulated),
+                    static_cast<double>(simulated_total),
                 1)
                .str()
         << "x fewer)\n";
@@ -47,22 +91,10 @@ renderCacheSweep(std::ostream &out,
                  const std::vector<std::vector<core::CachePerf>> &perf,
                  uint64_t refs)
 {
-    TableWriter table("avg TPI (ns) vs L1 size, " + std::to_string(refs) +
-                      " refs per run");
-    table.setHeader(cacheSweepHeader());
-    for (size_t a = 0; a < app_names.size(); ++a) {
-        std::vector<Cell> row{Cell(app_names[a])};
-        const auto &sweep = perf[a];
-        size_t best = 0;
-        for (size_t i = 0; i < sweep.size(); ++i) {
-            row.emplace_back(sweep[i].tpi_ns, 3);
-            if (sweep[i].tpi_ns < sweep[best].tpi_ns)
-                best = i;
-        }
-        row.emplace_back(std::to_string(8 * (best + 1)) + "KB");
-        table.addRow(row);
-    }
-    table.renderAscii(out);
+    renderSweep(out,
+                "avg TPI (ns) vs L1 size, " + std::to_string(refs) +
+                    " refs per run",
+                cacheConfigs(), app_names, perf);
 }
 
 void
@@ -71,25 +103,11 @@ renderSampledCacheSweep(
     const std::vector<std::vector<sample::SampledCachePerf>> &perf,
     uint64_t refs)
 {
-    TableWriter table("sampled avg TPI (ns) vs L1 size, " +
-                      std::to_string(refs) + " refs per run");
-    table.setHeader(cacheSweepHeader());
-    uint64_t simulated = 0;
-    for (size_t a = 0; a < app_names.size(); ++a) {
-        std::vector<Cell> row{Cell(app_names[a])};
-        const auto &sweep = perf[a];
-        size_t best = 0;
-        for (size_t i = 0; i < sweep.size(); ++i) {
-            row.emplace_back(sweep[i].perf.tpi_ns, 3);
-            if (sweep[i].perf.tpi_ns < sweep[best].perf.tpi_ns)
-                best = i;
-            simulated += sweep[i].simulated_refs;
-        }
-        row.emplace_back(std::to_string(8 * (best + 1)) + "KB");
-        table.addRow(row);
-    }
-    table.renderAscii(out);
-    sampledTrailer(out, simulated, refs * app_names.size() * 8, "refs");
+    renderSweep(out,
+                "sampled avg TPI (ns) vs L1 size, " + std::to_string(refs) +
+                    " refs per run",
+                cacheConfigs(), app_names, perf,
+                &sample::SampledCachePerf::simulated_refs, refs, "refs");
 }
 
 void
@@ -98,22 +116,10 @@ renderIqSweep(std::ostream &out,
               const std::vector<std::vector<core::IqPerf>> &perf,
               uint64_t instrs)
 {
-    TableWriter table("avg TPI (ns) vs queue size, " +
-                      std::to_string(instrs) + " instructions per run");
-    table.setHeader(iqSweepHeader());
-    for (size_t a = 0; a < app_names.size(); ++a) {
-        std::vector<Cell> row{Cell(app_names[a])};
-        const auto &sweep = perf[a];
-        size_t best = 0;
-        for (size_t i = 0; i < sweep.size(); ++i) {
-            row.emplace_back(sweep[i].tpi_ns, 3);
-            if (sweep[i].tpi_ns < sweep[best].tpi_ns)
-                best = i;
-        }
-        row.emplace_back(std::to_string(sweep[best].entries));
-        table.addRow(row);
-    }
-    table.renderAscii(out);
+    renderSweep(out,
+                "avg TPI (ns) vs queue size, " + std::to_string(instrs) +
+                    " instructions per run",
+                iqConfigs(), app_names, perf);
 }
 
 void
@@ -122,28 +128,11 @@ renderSampledIqSweep(
     const std::vector<std::vector<sample::SampledIqPerf>> &perf,
     uint64_t instrs)
 {
-    TableWriter table("sampled avg TPI (ns) vs queue size, " +
-                      std::to_string(instrs) + " instructions per run");
-    table.setHeader(iqSweepHeader());
-    uint64_t simulated = 0;
-    for (size_t a = 0; a < app_names.size(); ++a) {
-        std::vector<Cell> row{Cell(app_names[a])};
-        const auto &sweep = perf[a];
-        size_t best = 0;
-        for (size_t i = 0; i < sweep.size(); ++i) {
-            row.emplace_back(sweep[i].perf.tpi_ns, 3);
-            if (sweep[i].perf.tpi_ns < sweep[best].perf.tpi_ns)
-                best = i;
-            simulated += sweep[i].simulated_instrs;
-        }
-        row.emplace_back(std::to_string(sweep[best].perf.entries));
-        table.addRow(row);
-    }
-    table.renderAscii(out);
-    sampledTrailer(out, simulated,
-                   instrs * app_names.size() *
-                       core::AdaptiveIqModel::studySizes().size(),
-                   "instrs");
+    renderSweep(out,
+                "sampled avg TPI (ns) vs queue size, " +
+                    std::to_string(instrs) + " instructions per run",
+                iqConfigs(), app_names, perf,
+                &sample::SampledIqPerf::simulated_instrs, instrs, "instrs");
 }
 
 IntervalSummary

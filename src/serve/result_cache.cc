@@ -59,14 +59,21 @@ KeyBuilder::addBits(const std::string &field, double value)
 std::string
 KeyBuilder::canonical() const
 {
+    return canonicalAround("").second;
+}
+
+std::pair<std::string, std::string>
+KeyBuilder::canonicalAround(const std::string &field) const
+{
     std::vector<std::pair<std::string, std::string>> sorted = fields_;
     std::sort(sorted.begin(), sorted.end());
-    std::string out;
-    for (const auto &[field, value] : sorted) {
-        out += field;
-        out += '=';
-        out += value;
-        out += ';';
+    std::pair<std::string, std::string> out;
+    for (const auto &[name, value] : sorted) {
+        std::string &text = name < field ? out.first : out.second;
+        text += name;
+        text += '=';
+        text += value;
+        text += ';';
     }
     return out;
 }

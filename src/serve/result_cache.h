@@ -72,6 +72,11 @@ class KeyBuilder
     /** The canonical (sorted) serialization; exposed for tests. */
     std::string canonical() const;
 
+    /** canonical() split where a field named @p field, which this
+     *  builder lacks, would sort: the text before it and after it. */
+    std::pair<std::string, std::string>
+    canonicalAround(const std::string &field) const;
+
     /** FNV-1a of canonical(). */
     uint64_t hash() const;
 

@@ -216,15 +216,6 @@ serveStdio(StudyServer &server, std::istream &in, std::ostream &out)
 
 namespace {
 
-/** One client-side submission loop step: wait for this job's result. */
-struct JobResult
-{
-    bool ok = false;
-    std::string status;
-    std::string output;
-    std::string error;
-};
-
 class ClientSession
 {
   public:
@@ -340,13 +331,11 @@ runClient(const ClientOptions &options, std::ostream &out,
             break;
         }
         uint64_t id = 0;
-        bool accepted = false;
         bool failed = false;
         if (!client.readUntil([&](const json::Value &event) {
                 std::string type = event.stringOr("event");
                 if (type == "ack") {
                     id = event.u64Or("id", 0);
-                    accepted = true;
                     return true;
                 }
                 if (type == "overloaded" || type == "error") {
@@ -369,30 +358,26 @@ runClient(const ClientOptions &options, std::ostream &out,
             exit_code = 1;
             continue;
         }
-        (void)accepted;
 
-        JobResult result;
+        json::Value result;
         if (!client.readUntil([&](const json::Value &event) {
                 if (event.stringOr("event") != "result" ||
                     event.u64Or("id", 0) != id)
                     return false;
-                result.status = event.stringOr("status");
-                result.ok = result.status == "ok";
-                result.output = event.stringOr("output");
-                result.error = event.stringOr("error");
+                result = event;
                 return true;
             })) {
             err << "capsim client: connection lost\n";
             exit_code = 1;
             break;
         }
-        if (result.ok) {
-            out << result.output;
+        const std::string status = result.stringOr("status");
+        const std::string error = result.stringOr("error");
+        if (status == "ok") {
+            out << result.stringOr("output");
         } else {
-            err << "capsim client: job " << (i + 1) << " "
-                << result.status
-                << (result.error.empty() ? "" : ": " + result.error)
-                << "\n";
+            err << "capsim client: job " << (i + 1) << " " << status
+                << (error.empty() ? "" : ": " + error) << "\n";
             exit_code = 1;
         }
     }

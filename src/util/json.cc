@@ -1,6 +1,7 @@
 #include "json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -199,32 +200,27 @@ Value::numberOr(const std::string &key, double fallback) const
     return v && v->type == Type::Number ? v->number : fallback;
 }
 
-namespace {
-
-/** @p v as a u64 (see Value::u64Or); false when it holds none. */
 bool
-asU64(const Value &v, uint64_t &out)
+Value::asU64(uint64_t &out) const
 {
-    if (v.type == Value::Type::Number) {
+    if (type == Type::Number) {
         // Every integral double in [0, 2^64) converts exactly; any
         // other value would be truncated or undefined behaviour.
-        if (!(v.number >= 0.0 && v.number < 0x1p64) ||
-            std::trunc(v.number) != v.number)
+        if (!(number >= 0.0 && number < 0x1p64) ||
+            std::trunc(number) != number)
             return false;
-        out = static_cast<uint64_t>(v.number);
+        out = static_cast<uint64_t>(number);
         return true;
     }
-    return v.type == Value::Type::String && parseU64(v.string, out);
+    return type == Type::String && parseU64(string, out);
 }
-
-} // namespace
 
 uint64_t
 Value::u64Or(const std::string &key, uint64_t fallback) const
 {
     const Value *v = find(key);
     uint64_t out = 0;
-    return v && asU64(*v, out) ? out : fallback;
+    return v && v->asU64(out) ? out : fallback;
 }
 
 bool
@@ -232,7 +228,7 @@ Value::readU64(const std::string &key, uint64_t &out,
                std::string &error) const
 {
     const Value *v = find(key);
-    if (!v || asU64(*v, out))
+    if (!v || v->asU64(out))
         return true;
     error = "\"" + key + "\" must be an integer in [0, 2^64)";
     return false;
@@ -489,6 +485,19 @@ parseU64(const std::string &text, uint64_t &out)
     }
     out = value;
     return true;
+}
+
+bool
+parseNumber(const std::string &text, double &out)
+{
+    // from_chars takes no '+' but does take '-', "inf" and "nan"; a
+    // leading digit or point rules all three out.
+    const char *last = text.data() + text.size();
+    auto [end, ec] = std::from_chars(text.data(), last, out);
+    return !text.empty() &&
+           (std::isdigit(static_cast<unsigned char>(text[0])) ||
+            text[0] == '.') &&
+           ec == std::errc() && end == last;
 }
 
 std::string

@@ -120,6 +120,9 @@ struct Value
     /** Member as a double; @p fallback when absent or not a number. */
     double numberOr(const std::string &key, double fallback) const;
 
+    /** This value as a u64 (see u64Or); false when it holds none. */
+    bool asU64(uint64_t &out) const;
+
     /**
      * Member as a u64: a JSON number that is an integer in [0, 2^64)
      * (exact below 2^53) or a decimal string -- the spill/value format
@@ -152,6 +155,12 @@ bool parse(const std::string &text, Value &out, std::string &error);
 
 /** Parse a full-string decimal u64; false on any non-digit residue. */
 bool parseU64(const std::string &text, uint64_t &out);
+
+/** Parse a full-string finite, unsigned decimal number (a digit or a
+ *  point first, then an optional fraction and exponent); false on a
+ *  sign, "inf", "nan", trailing bytes or a value out of double's
+ *  range.  @p out is unspecified then. */
+bool parseNumber(const std::string &text, double &out);
 
 /** Serialize a double's bit pattern as a decimal string (bit-exact
  *  round-trip through text, independent of printf precision). */

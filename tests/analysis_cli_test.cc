@@ -220,6 +220,60 @@ TEST(CliTest, SweepRejectsUnknownApp)
     EXPECT_EQ(run({"cache-sweep"}, &text), 2);
 }
 
+/** The cells of @p table's row for @p app, without their padding;
+ *  empty when the table has no such row. */
+std::vector<std::string>
+rowCells(const std::string &table, const std::string &app)
+{
+    std::istringstream lines(table);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::vector<std::string> cells;
+        std::istringstream fields(line);
+        std::string cell;
+        while (std::getline(fields, cell, '|')) {
+            cell.erase(0, cell.find_first_not_of(' '));
+            cell.erase(cell.find_last_not_of(' ') + 1);
+            cells.push_back(cell);
+        }
+        if (cells.size() > 1 && cells[1] == app)
+            return cells;
+    }
+    return {};
+}
+
+TEST(CliTest, SweepsTakeTheJobApplicationGrammar)
+{
+    // "all" or one or more names, as a served job's "apps" takes them:
+    // each row is that application's row of the larger sweep.
+    const std::vector<std::pair<std::vector<std::string>,
+                                std::vector<std::string>>>
+        sweeps = {
+            {{"iq-sweep", "li", "gcc", "--instrs", "20000"},
+             {"iq-sweep", "all", "--instrs", "20000"}},
+            {{"cache-sweep", "gcc", "li", "--refs", "20000"},
+             {"cache-sweep", "all", "--refs", "20000"}},
+            {{"sample-run", "li", "gcc", "--study", "iq", "--instrs",
+              "30000"},
+             {"sample-run", "li", "--study", "iq", "--instrs", "30000"}},
+        };
+    for (const auto &[pair, larger] : sweeps) {
+        std::string pair_text, larger_text;
+        ASSERT_EQ(run(pair, &pair_text), 0) << pair_text;
+        ASSERT_EQ(run(larger, &larger_text), 0) << larger_text;
+        EXPECT_FALSE(rowCells(pair_text, "li").empty()) << pair[0];
+        EXPECT_FALSE(rowCells(pair_text, "gcc").empty()) << pair[0];
+        EXPECT_TRUE(rowCells(pair_text, "go").empty()) << pair[0];
+        EXPECT_EQ(rowCells(pair_text, "li"), rowCells(larger_text, "li"))
+            << pair[0];
+        if (larger[1] == "all") {
+            EXPECT_EQ(rowCells(pair_text, "gcc"),
+                      rowCells(larger_text, "gcc"))
+                << pair[0];
+        }
+    }
+}
+
 TEST(CliTest, GenTraceAndAnalyzeRoundTrip)
 {
     std::string path = testing::TempDir() + "/capsim_cli_trace.din";

@@ -335,7 +335,7 @@ TEST(ErrorPathsTest, MalformedNumericFlagsAreUsageErrors)
         {{"sample-run", "li"}, "cold-prefix"},
         {{"analyze-trace", trace_path}, "first"},
         {{"analyze-trace", trace_path}, "last"},
-        {{"analyze-trace", trace_path}, "stride"},
+        {{"analyze-trace", trace_path}, "stride", true},
         {{"gen-trace", "li", trace_path}, "refs", true},
         {{"gen-trace", "li", trace_path, "--study", "iq"}, "instrs", true},
         {{"analyze", trace_path}, "limit"},
@@ -385,6 +385,61 @@ TEST(ErrorPathsTest, MalformedNumericFlagsAreUsageErrors)
         EXPECT_NE(err.str().find("--sample"), std::string::npos) << spec;
     }
     std::remove(trace_path.c_str());
+}
+
+TEST(ErrorPathsTest, UnknownFlagsAreUsageErrors)
+{
+    // A flag the verb does not read is a usage error naming it, before
+    // any output: "--ref 1000" would otherwise run the 150000-reference
+    // default, and a misspelt --jobs a serial sweep.
+    const std::string path = testing::TempDir() + "/capsim_unknown_flag";
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"cache-sweep", "li", "--ref", "1000"}, "--ref"},
+            {{"cache-sweep", "li", "--refs", "1000", "--jbos", "4"},
+             "--jbos"},
+            {{"cache-sweep", "li", "--trigger", "hybrid"}, "--trigger"},
+            {{"iq-sweep", "li", "--refs", "1000"}, "--refs"},
+            {{"interval-run", "li", "--sample"}, "--sample"},
+            {{"interval-run", "li", "--jobs", "2"}, "--jobs"},
+            // Each side of a sample verb reads its own run length.
+            {{"sample-profile", "li", "--instrs", "1000"}, "--instrs"},
+            {{"sample-run", "li", "--study", "iq", "--refs", "1000"},
+             "--refs"},
+            {{"sample-run", "li", "--sample"}, "--sample"},
+            {{"gen-trace", "li", path, "--instrs", "10"}, "--instrs"},
+            {{"analyze", path, "--refs", "10"}, "--refs"},
+            {{"analyze-trace", path, "--instrs", "1"}, "--instrs"},
+            {{"serve", "--spil", path}, "--spil"},
+            {{"client", path, "--socket", path, "--event", path},
+             "--event"},
+            {{"apps", "--all"}, "--all"},
+            {{"timing", "--json"}, "--json"},
+        };
+    for (const auto &[args, flag] : cases) {
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCommand(args, out, err), 2) << args[0] << flag;
+        EXPECT_NE(err.str().find("unknown flag " + flag), std::string::npos)
+            << args[0] << ": " << err.str();
+        EXPECT_EQ(out.str(), "") << args[0] << flag;
+    }
+}
+
+TEST(ErrorPathsTest, SingleApplicationVerbsRejectASecond)
+{
+    const std::string path = testing::TempDir() + "/capsim_second_app";
+    for (const std::vector<std::string> &args :
+         std::vector<std::vector<std::string>>{
+             {"interval-run", "li", "gcc", "--instrs", "2000"},
+             {"interval-run", "all", "--instrs", "2000"},
+             {"sample-profile", "li", "gcc", "--refs", "20000"},
+             {"gen-trace", "all", path}}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCommand(args, out, err), 2) << args[1];
+        EXPECT_NE(err.str().find("single application"), std::string::npos)
+            << args[0] << ": " << err.str();
+        EXPECT_EQ(out.str(), "") << args[0];
+    }
 }
 
 TEST(ErrorPathsTest, MaeMaxTakesAFraction)

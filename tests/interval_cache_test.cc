@@ -4,6 +4,8 @@
  * workload support.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/interval_cache.h"
@@ -106,6 +108,36 @@ TEST(PhasePredictiveCacheTest, RunsAndAccounts)
     CacheIntervalResult result = predictor.run(demo, 150000, 2);
     EXPECT_EQ(result.refs, 150000u);
     EXPECT_GT(result.tpi(), 0.0);
+}
+
+TEST(CacheIntervalTailTest, ControllersCreditTheFinalPartialInterval)
+{
+    // 100500 references are 100 full intervals of 1000 and a 500
+    // reference tail, which is simulated and credited at the boundary
+    // the run ends on, as the oracle and the IQ controller do.
+    AdaptiveCacheModel model;
+    trace::AppProfile demo = trace::phasedCacheDemo();
+    IntervalAdaptiveCache adaptive(model, CacheIntervalParams{});
+    PhasePredictiveCache predictive(model, PhasePredictorParams{});
+    auto check = [](const CacheIntervalResult &even,
+                    const CacheIntervalResult &tailed) {
+        EXPECT_EQ(even.refs, 100000u);
+        EXPECT_EQ(tailed.refs, 100500u);
+        ASSERT_EQ(even.boundary_trace.size(), 100u);
+        ASSERT_EQ(tailed.boundary_trace.size(), 101u);
+        EXPECT_TRUE(std::equal(even.boundary_trace.begin(),
+                               even.boundary_trace.end(),
+                               tailed.boundary_trace.begin()));
+        EXPECT_GT(tailed.instructions, even.instructions);
+        EXPECT_GT(tailed.total_time_ns, even.total_time_ns);
+    };
+    check(adaptive.run(demo, 100000, 2), adaptive.run(demo, 100500, 2));
+    check(predictive.run(demo, 100000, 2),
+          predictive.run(demo, 100500, 2));
+    EXPECT_EQ(runCacheIntervalOracle(model, demo, 100500,
+                                     {1, 2, 3, 4, 5, 6, 7, 8}, 1000, true)
+                  .boundary_trace.size(),
+              101u);
 }
 
 TEST(CacheIntervalOracleTest, OracleBeatsEveryFixedBoundary)

@@ -265,6 +265,64 @@ TEST(ServeKeyTest, CellKeysArePinned)
         EXPECT_EQ(serve::cellKey(spec, copy), serve::cellKey(spec, app))
             << app.name;
     }
+
+    // Every field a cell key carries, away from its default: each kind,
+    // sampled sweeps with every sample knob set, dram with every knob
+    // set, each trigger, and every controller knob a job can set.
+    const std::pair<const char *, uint64_t> every_field[] = {
+        {"{\"kind\":\"iq-sweep\",\"apps\":\"li\",\"instrs\":30000,"
+         "\"sampled\":true,\"sample\":{\"clusters\":3,\"interval\":400,"
+         "\"warmup\":800,\"cold_prefix\":1200}}",
+         7627706694857240573ull},
+        {"{\"kind\":\"cache-sweep\",\"apps\":\"gcc\",\"refs\":40000,"
+         "\"sampled\":true,\"sample\":{\"clusters\":5,\"interval\":2000,"
+         "\"warmup\":3000,\"cold_prefix\":7000}}",
+         3017274352220281697ull},
+        {"{\"kind\":\"cache-sweep\",\"apps\":\"gcc\",\"refs\":40000,"
+         "\"mem\":\"dram:banks=4,row=4096,hit=12,miss=30,conflict=40,"
+         "burst=5,mshr=16,policy=closed\"}",
+         7048651131747375113ull},
+        {"{\"kind\":\"cache-sweep\",\"apps\":\"gcc\",\"refs\":40000,"
+         "\"mem\":\"dram\"}",
+         9219634844604070095ull},
+        {"{\"kind\":\"interval-run\",\"apps\":\"li\",\"instrs\":200000}",
+         15610318958398859259ull},
+        {"{\"kind\":\"interval-run\",\"apps\":\"li\",\"instrs\":200000,"
+         "\"trigger\":\"period\"}",
+         15610318958398859259ull},
+        {"{\"kind\":\"interval-run\",\"apps\":\"li\",\"instrs\":200000,"
+         "\"trigger\":\"phase\"}",
+         1648992276131360976ull},
+        {"{\"kind\":\"interval-run\",\"apps\":\"vortex\",\"instrs\":90000,"
+         "\"entries\":48,\"interval\":1500,\"probe_period\":4,"
+         "\"confidence\":3,\"probe_max\":24,\"phase_threshold\":0.5,"
+         "\"trigger\":\"hybrid\"}",
+         15751943252022023782ull},
+    };
+    for (const auto &[job, key] : every_field) {
+        serve::JobSpec spec = specFromJson(job);
+        EXPECT_EQ(serve::cellKey(spec, trace::findApp(spec.apps[0])), key)
+            << job;
+    }
+
+    // The fields no request sets are keyed too, so a build that changes
+    // one of their defaults re-keys every cell it affects.
+    serve::JobSpec run = specFromJson(every_field[7].first);
+    run.params.ewma_alpha = 0.5;
+    run.params.switch_margin = 0.05;
+    run.params.use_confidence = false;
+    run.params.switch_penalty_cycles = 7;
+    run.params.max_phases = 8;
+    EXPECT_EQ(serve::cellKey(run, trace::findApp("vortex")),
+              9924608017183958219ull);
+
+    serve::JobSpec sweep = specFromJson(every_field[0].first);
+    sweep.sample.max_sweeps = 4;
+    sweep.sample.confidence_z = 2.5;
+    sweep.sample.cluster_seed = 7;
+    sweep.sample.variance_probes = false;
+    EXPECT_EQ(serve::cellKey(sweep, trace::findApp("li")),
+              13401145933490863521ull);
 }
 
 // ---------------------------------------------------------------------
@@ -754,6 +812,24 @@ TEST(ServeJobTest, ValidationErrors)
           "\"sample\":{\"clusters\":4,\"intervals\":500}}",
           "unknown sample key \"intervals\"");
 
+    // A value of the wrong type is an error naming its key, never the
+    // key's default ("trigger": 2 would run the period controller, and
+    // "sampled": "true" the full sweep, cached as the plain study's).
+    fails("{\"kind\":\"interval-run\",\"apps\":\"li\",\"instrs\":20000,"
+          "\"trigger\":2}",
+          "\"trigger\" must be period, phase, or hybrid");
+    fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\",\"refs\":3000,"
+          "\"sampled\":\"true\"}",
+          "\"sampled\" must be true or false");
+    fails("{\"kind\":\"cache-sweep\",\"apps\":\"li\","
+          "\"deadline_ms\":\"500\"}",
+          "\"deadline_ms\" must be a number");
+    fails("{\"kind\":\"interval-run\",\"apps\":\"li\","
+          "\"phase_threshold\":\"0.5\"}",
+          "\"phase_threshold\" must be a number");
+    fails("{\"kind\":\"interval-run\",\"apps\":\"li\",\"mem\":2}",
+          "\"mem\" must be a spec string");
+
     // Every key of the grammar is accepted, and so is the retired
     // "one_pass", which is ignored.
     serve::JobSpec spec = specFromJson(
@@ -765,6 +841,74 @@ TEST(ServeJobTest, ValidationErrors)
         "\"phase_threshold\":0.25,\"trigger\":\"hybrid\","
         "\"one_pass\":true}");
     EXPECT_EQ(spec.entries, 48);
+
+    // The job classes of the benchmark's serve-replay mix
+    // (perfbench/benchlib.py) stay valid, counts given as numbers or as
+    // decimal strings.
+    for (const char *job :
+         {"{\"kind\": \"cache-sweep\", \"apps\": \"all\", \"refs\": 40000}",
+          "{\"kind\": \"iq-sweep\", \"apps\": \"all\", \"instrs\": 30000}",
+          "{\"kind\": \"interval-run\", \"apps\": \"li\", \"instrs\": 200000, "
+          "\"trigger\": \"hybrid\"}",
+          "{\"kind\": \"cache-sweep\", \"apps\": \"all\", \"refs\": 40000, "
+          "\"sampled\": true, \"sample\": {\"clusters\": 4, \"interval\": "
+          "500, \"warmup\": 1000}}",
+          "{\"kind\": \"iq-sweep\", \"apps\": \"all\", \"instrs\": \"30000\", "
+          "\"sampled\": true, \"sample\": {\"clusters\": 3, \"interval\": "
+          "400, \"warmup\": 800}}"})
+        specFromJson(job);
+}
+
+TEST(ServeJobTest, FlagsAndJsonGiveTheSameSpecAndKeys)
+{
+    // The same study phrased as a verb's flags and as a job object: the
+    // CI server smoke's three jobs, sampled and dram sweeps, and an
+    // interval run that sets every controller knob.
+    const std::pair<std::vector<std::string>, const char *> studies[] = {
+        {{"cache-sweep", "all", "--refs", "40000"},
+         "{\"kind\":\"cache-sweep\",\"apps\":\"all\",\"refs\":40000}"},
+        {{"iq-sweep", "all", "--instrs", "30000"},
+         "{\"kind\":\"iq-sweep\",\"apps\":\"all\",\"instrs\":30000}"},
+        {{"interval-run", "li", "--instrs", "200000", "--trigger", "hybrid"},
+         "{\"kind\":\"interval-run\",\"apps\":\"li\",\"instrs\":200000,"
+         "\"trigger\":\"hybrid\"}"},
+        {{"cache-sweep", "li", "gcc", "--refs", "6000", "--sample=4,500,1000"},
+         "{\"kind\":\"cache-sweep\",\"apps\":[\"li\",\"gcc\"],\"refs\":6000,"
+         "\"sampled\":true,\"sample\":{\"clusters\":4,\"interval\":500,"
+         "\"warmup\":1000}}"},
+        {{"iq-sweep", "all", "--instrs", "6000", "--sample=3"},
+         "{\"kind\":\"iq-sweep\",\"apps\":\"all\",\"instrs\":6000,"
+         "\"sampled\":true,\"sample\":{\"clusters\":3}}"},
+        {{"cache-sweep", "vortex", "--refs", "40000", "--mem",
+          "dram:banks=2,mshr=2,policy=closed"},
+         "{\"kind\":\"cache-sweep\",\"apps\":\"vortex\",\"refs\":40000,"
+         "\"mem\":\"dram:banks=2,mshr=2,policy=closed\"}"},
+        {{"interval-run", "vortex", "--instrs", "90000", "--entries", "48",
+          "--interval", "1500", "--probe-period", "4", "--confidence", "3",
+          "--probe-max", "24", "--phase-threshold", "0.5", "--trigger",
+          "phase", "--mem", "dram"},
+         "{\"kind\":\"interval-run\",\"apps\":\"vortex\",\"instrs\":90000,"
+         "\"entries\":48,\"interval\":1500,\"probe_period\":4,"
+         "\"confidence\":3,\"probe_max\":24,\"phase_threshold\":0.5,"
+         "\"trigger\":\"phase\",\"mem\":\"dram\"}"},
+    };
+    for (const auto &[args, job] : studies) {
+        serve::JobSpec from_flags = cli::studySpec(args);
+        serve::JobSpec from_json = specFromJson(job);
+        EXPECT_TRUE(from_flags == from_json) << job;
+        ASSERT_EQ(from_flags.apps, from_json.apps) << job;
+        for (const std::string &name : from_json.apps) {
+            const trace::AppProfile &app = trace::findApp(name);
+            EXPECT_EQ(serve::cellKey(from_flags, app),
+                      serve::cellKey(from_json, app))
+                << job << " " << name;
+        }
+    }
+
+    // Each knob above is away from its default, so the phrasings agree
+    // because both read it, not because both fall back to a default.
+    EXPECT_FALSE(cli::studySpec(studies[6].first) ==
+                 cli::studySpec({"interval-run", "vortex"}));
 }
 
 // ---------------------------------------------------------------------
